@@ -152,8 +152,7 @@ def _resolve_input(args: argparse.Namespace) -> Matrix:
             ctx = ModCtx.for_modulus(args.mod)
         except ValueError as e:
             raise InputError(str(e)) from None
-        rows = [[x % args.mod for x in row] for row in matrix.entries]
-        return Matrix(matrix.n, tuple(tuple(r) for r in rows), ctx,
+        return Matrix(matrix.n, matrix.entries % args.mod, ctx,
                       matrix.provenance + f"|mod{args.mod}")
     return matrix
 

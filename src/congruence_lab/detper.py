@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .matgen import Matrix, _checkerboard_allowed
+from .matgen import Matrix, checkerboard_support, entry_dtype
 from .modnum import ModCtx, PRIME
 
 DEFAULT_RYSER_CAP = 28
@@ -58,21 +58,15 @@ def _require_ctx(matrix: Matrix, ctx: ModCtx | None) -> ModCtx | None:
 def det_field(matrix: Matrix, ctx: ModCtx | None = None) -> int:
     """Determinant mod a prime, by Gaussian elimination with pivot search.
 
-    Uses an int64 numpy kernel when the modulus allows (products stay below
-    2**62); falls back to exact Python ints otherwise.
+    Works on a copy of the entries in the Matrix dtype for this modulus: int64
+    below 2**31 (products stay below 2**62), exact Python ints otherwise.
     """
     ctx = _require_ctx(matrix, ctx)
     if ctx is None or ctx.kind != PRIME:
         raise ValueError("det_field needs a prime modulus context")
     p = ctx.modulus
-    if p < 2**31:
-        return _det_field_numpy(matrix.rows(), p)
-    return _det_field_python(matrix.rows(), p)
-
-
-def _det_field_numpy(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    a = np.array(rows, dtype=np.int64) % p
+    n = matrix.n
+    a = (matrix.entries % p).astype(entry_dtype(ctx), copy=False)
     det = 1
     sign = 1
     for col in range(n):
@@ -92,29 +86,6 @@ def _det_field_numpy(rows: list[list[int]], p: int) -> int:
     return det * sign % p
 
 
-def _det_field_python(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    a = [[x % p for x in row] for row in rows]
-    det = 1
-    for col in range(n):
-        r = next((i for i in range(col, n) if a[i][col]), None)
-        if r is None:
-            return 0
-        if r != col:
-            a[col], a[r] = a[r], a[col]
-            det = -det
-        pivot = a[col][col]
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        for i in range(col + 1, n):
-            f = a[i][col] * inv % p
-            if f:
-                ai, ac = a[i], a[col]
-                for j in range(col, n):
-                    ai[j] = (ai[j] - f * ac[j]) % p
-    return det % p
-
-
 def det_exact(matrix: Matrix, reduce_ctx: ModCtx | None = None) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination over Z.
 
@@ -123,7 +94,7 @@ def det_exact(matrix: Matrix, reduce_ctx: ModCtx | None = None) -> int:
     this is the route for prime-power and composite moduli, where in-place
     division is not available.
     """
-    a = matrix.rows()
+    a = matrix.entries.tolist()
     n = matrix.n
     sign = 1
     prev = 1
@@ -195,18 +166,18 @@ def _naive_sum(matrix: Matrix, signed: bool) -> int:
             f"permutations); got n = {n}"
         )
     m = None if matrix.ctx is None else matrix.ctx.modulus
-    max_abs = max((abs(x) for row in matrix.entries for x in row), default=0)
+    max_abs = int(abs(matrix.entries).max())
     # int64 fast path: every permutation product (and their sum) must fit.
     if max_abs > 0:
         prod_bound = max_abs**n
         if prod_bound * math.factorial(n) < _INT64_SAFE:
             perms, signs = _perm_table(n)
-            a = np.array(matrix.entries, dtype=np.int64)
+            a = matrix.entries.astype(np.int64)
             prods = a[np.arange(n)[None, :], perms].prod(axis=1)
             total = int((prods * signs).sum()) if signed else int(prods.sum())
             return total % m if m is not None else total
     total = 0
-    rows = matrix.rows()
+    rows = matrix.entries.tolist()
     for perm, sign in _heaps_signed_permutations(n):
         prod = 1
         for i in range(n):
@@ -268,10 +239,8 @@ def per_ryser(
             f"(would need 2**{n - 1} = {2 ** (n - 1)} row-sum updates; "
             f"raise {RYSER_CAP_ENV} up to {HARD_RYSER_LIMIT} if you mean it)"
         )
-    rows = matrix.rows()
-    if ctx is not None and matrix.ctx is None:
-        rows = [[x % ctx.modulus for x in row] for row in rows]
     m = None if ctx is None else ctx.modulus
+    rows = (matrix.entries if m is None else matrix.entries % m).tolist()
 
     span = 1 << (n - 1)
     chunks = max(1, min(chunks, span))
@@ -283,7 +252,10 @@ def per_ryser(
             total %= m
     if m is None:
         quotient, remainder = divmod(total, span)
-        assert remainder == 0, "inclusion-exclusion sum must divide by 2**(n-1)"
+        if remainder:
+            raise ArithmeticError(
+                f"inclusion-exclusion sum {total} is not divisible by 2**{n - 1}"
+            )
         return quotient
     inv2 = (m + 1) // 2
     return total * pow(inv2, n - 1, m) % m
@@ -345,18 +317,12 @@ def _ryser_chunk(rows: list[list[int]], n: int, m: int | None, k0: int, k1: int)
 
 def checkerboard_violations(matrix: Matrix) -> list[tuple[int, int]]:
     """Cells (1-based) that break the support rule: nonzero with i+j even > 2."""
-    bad = []
-    for i in range(1, matrix.n + 1):
-        for j in range(1, matrix.n + 1):
-            if not _checkerboard_allowed(i, j) and matrix.entries[i - 1][j - 1] != 0:
-                bad.append((i, j))
-    return bad
+    off_support = ~checkerboard_support(matrix.n) & (matrix.entries != 0)
+    return [(i + 1, j + 1) for i, j in np.argwhere(off_support).tolist()]
 
 
-def _submatrix(matrix: Matrix, row_idx: list[int], col_idx: list[int], tag: str) -> Matrix:
-    rows = [[matrix.entries[i][j] for j in col_idx] for i in row_idx]
-    return Matrix(len(row_idx), tuple(tuple(r) for r in rows), matrix.ctx,
-                  f"{matrix.provenance}|{tag}")
+def _submatrix(matrix: Matrix, block: np.ndarray, tag: str) -> Matrix:
+    return Matrix(len(block), block, matrix.ctx, f"{matrix.provenance}|{tag}")
 
 
 def _half_det(half: Matrix) -> int:
@@ -385,19 +351,20 @@ def factor_checkerboard(matrix: Matrix, mode: str) -> int:
     if bad:
         raise SupportViolation(bad)
     n = matrix.n
-    a11 = matrix.entries[0][0]
+    a = matrix.entries
+    a11 = int(a[0, 0])
     if n == 1:
         return a11 if matrix.ctx is None else matrix.ctx.reduce(a11)
     if n % 2 == 0:
         m = n // 2
         # 0-based: even 1-based rows -> 1,3,..;  odd 1-based cols -> 0,2,..
-        b = _submatrix(matrix, list(range(1, n, 2)), list(range(0, n, 2)), "evenodd")
-        c = _submatrix(matrix, list(range(0, n, 2)), list(range(1, n, 2)), "oddeven")
+        b = _submatrix(matrix, a[1::2, 0::2], "evenodd")
+        c = _submatrix(matrix, a[0::2, 1::2], "oddeven")
         scale = 1
     else:
         m = (n - 1) // 2
-        b = _submatrix(matrix, list(range(1, n, 2)), list(range(2, n, 2)), "evenodd")
-        c = _submatrix(matrix, list(range(2, n, 2)), list(range(1, n, 2)), "oddeven")
+        b = _submatrix(matrix, a[1::2, 2::2], "evenodd")
+        c = _submatrix(matrix, a[2::2, 1::2], "oddeven")
         scale = a11
     if mode == "per":
         value = scale * _half_per(b) * _half_per(c)

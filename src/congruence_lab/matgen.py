@@ -1,20 +1,24 @@
 """Builders for the structured matrix families the workbench studies.
 
 Every builder returns an immutable Matrix whose provenance string is enough to
-rebuild it bit-for-bit.  Entries are canonical residues when a ModCtx is
-attached, exact Python ints otherwise (ctx=None, "exact mode").
+rebuild it bit-for-bit.  Its entries are stored once, as a read-only 2-D
+ndarray.  With a ModCtx they are canonical residues: int64 when the modulus is
+below 2**31 (a product of two residues fits in int64), Python ints in an
+object array otherwise.  Without one (ctx=None, "exact mode") they are exact
+Python ints in an object array.  Engines read that array directly.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
-from .modnum import ModCtx, NonUnitError, inv_mod, is_prime
+from .modnum import ModCtx, NonUnitError, is_prime
 
 
 class EntryKind(enum.Enum):
@@ -52,66 +56,68 @@ class NonUnitDenominator(ValueError):
         self.gcd = gcd
 
 
-@dataclass(frozen=True)
+#: moduli below this store residues as int64, so a product of two fits in int64
+INT64_MODULUS_LIMIT = 2**31
+
+
+def entry_dtype(ctx: ModCtx | None) -> np.dtype:
+    """int64 for a modulus below INT64_MODULUS_LIMIT, object (Python ints) otherwise."""
+    if ctx is not None and ctx.modulus < INT64_MODULUS_LIMIT:
+        return np.dtype(np.int64)
+    return np.dtype(object)
+
+
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Square matrix with optional modulus context and rebuildable provenance."""
+    """Square matrix with optional modulus context and rebuildable provenance.
+
+    entries may be given as any n x n nested sequence or array; it is stored
+    as one read-only 2-D ndarray of dtype entry_dtype(ctx).  Object arrays
+    hold plain Python ints.  Equality is identity: compare entries explicitly.
+    """
 
     n: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: np.ndarray
     ctx: ModCtx | None
     provenance: str
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"order must be >= 1, got {self.n}")
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+        dtype = entry_dtype(self.ctx)
+        wide = dtype == object
+        # int64 storage infers the dtype first: a direct cast would truncate floats
+        try:
+            a = np.array(self.entries, dtype=object if wide else None)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("entries are not an n x n grid of integers") from None
+        if a.shape != (self.n, self.n):
             raise ValueError("entries are not an n x n grid")
+        if wide:
+            try:
+                a = np.frompyfunc(operator.index, 1, 1)(a)
+            except TypeError:
+                raise ValueError("entries must be integers") from None
+        elif a.dtype.kind not in "iuO":
+            raise ValueError(f"entries must be integers, got dtype {a.dtype}")
         if self.ctx is not None:
             m = self.ctx.modulus
-            for row in self.entries:
-                for x in row:
-                    if not 0 <= x < m:
-                        raise ValueError(
-                            f"entry {x} is not a canonical residue mod {m}"
-                        )
+            bad = (a < 0) | (a >= m)
+            if bad.any():
+                raise ValueError(f"entry {a[bad][0]} is not a canonical residue mod {m}")
+        a = a.astype(dtype, copy=False)
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
 
     @property
     def exact(self) -> bool:
         return self.ctx is None
 
-    def rows(self) -> list[list[int]]:
-        """Mutable copy of the entries for the engines."""
-        return [list(r) for r in self.entries]
 
-
-def _freeze(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in r) for r in rows)
-
-
-# ---------------------------------------------------------------------------
-# term evaluation for the Cauchy-style kinds
-
-
-def entry_value(kind: EntryKind, j: int, k: int, ctx: ModCtx) -> int:
-    """Off-diagonal term at (j, k) for the given kind, as a canonical residue.
-
-    Denominators use true modular inverses; a non-unit denominator raises
-    NonUnitDenominator with the offending cell.
-    """
-    if kind is EntryKind.INV_DIFF:
-        num, den = 1, j - k
-    elif kind is EntryKind.RATIO_SUM_DIFF:
-        num, den = j + k, j - k
-    elif kind is EntryKind.INV_DIFF_SQUARES:
-        num, den = 1, j * j - k * k
-    elif kind is EntryKind.RATIO_SUM_SQUARES:
-        num, den = j * j + k * k, j * j - k * k
-    else:
-        raise ValueError(f"{kind} is not a Cauchy-style entry kind")
-    try:
-        return num * ctx.inv(den) % ctx.modulus
-    except NonUnitError as e:
-        raise NonUnitDenominator(j, k, den, ctx.modulus, e.gcd) from None
+def checkerboard_support(n: int) -> np.ndarray:
+    """Cells (0-based) that may be nonzero: 1-based i+j odd, or i+j == 2."""
+    s = np.add.outer(np.arange(n), np.arange(n))
+    return (s % 2 == 1) | (s == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +163,21 @@ def quad_form_matrix(
     if n < 1:
         raise ValueError(f"empty index range for p_or_n = {p_or_n}")
 
-    if ctx is not None and ctx.modulus < 2**31 and p_or_n < 2**15:
+    mod_tag = "Z" if ctx is None else str(ctx.modulus)
+    prov = f"quadform(base={p_or_n},c={c},d={d},range={index_range},exp={exponent},mod={mod_tag})"
+    if entry_dtype(ctx) == np.int64 and p_or_n < 2**15:
         m = ctx.modulus
         idx = np.array(indices, dtype=np.int64)
         sq = idx * idx % m
         base = (sq[:, None] + (c % m) * np.outer(idx, idx) + (d % m) * sq[None, :]) % m
-        rows = _pow_mod_array(base, exponent, m).tolist()
+        return Matrix(n, _pow_mod_array(base, exponent, m), ctx, prov)
+    if ctx is None:
+        rows = [[(i * i + c * i * j + d * j * j) ** exponent for j in indices] for i in indices]
     else:
-        rows = []
-        for i in indices:
-            if ctx is None:
-                rows.append([(i * i + c * i * j + d * j * j) ** exponent for j in indices])
-            else:
-                m = ctx.modulus
-                rows.append(
-                    [pow((i * i + c * i * j + d * j * j) % m, exponent, m) for j in indices]
-                )
-    mod_tag = "Z" if ctx is None else str(ctx.modulus)
-    prov = f"quadform(base={p_or_n},c={c},d={d},range={index_range},exp={exponent},mod={mod_tag})"
-    return Matrix(n, _freeze(rows), ctx, prov)
+        m = ctx.modulus
+        rows = [[pow((i * i + c * i * j + d * j * j) % m, exponent, m) for j in indices]
+                for i in indices]
+    return Matrix(n, rows, ctx, prov)
 
 
 def cauchy_type_matrix(kind: EntryKind, size: int, diagonal: str, ctx: ModCtx) -> Matrix:
@@ -221,7 +223,7 @@ def cauchy_type_matrix(kind: EntryKind, size: int, diagonal: str, ctx: ModCtx) -
                 row.append((j * j + k * k) * inv_of(j * j - k * k, j, k) % m)
         rows.append(row)
     prov = f"cauchy(kind={kind.value},size={size},diag={diagonal},mod={m})"
-    return Matrix(size, _freeze(rows), ctx, prov)
+    return Matrix(size, rows, ctx, prov)
 
 
 def inverse_form_matrix(p: int, which: str) -> Matrix:
@@ -248,26 +250,21 @@ def inverse_form_matrix(p: int, which: str) -> Matrix:
         inv[i] = -(p // i) * inv[p % i] % p
 
     if which == "half_range_sq":
-        size = (p - 1) // 2
-        den = lambda i, j: (i * i + j * j) % p
+        size, cross = (p - 1) // 2, 0
     elif which == "full_range_ij":
-        size = p - 1
-        den = lambda i, j: (i * i - i * j + j * j) % p
+        size, cross = p - 1, -1
     else:
         raise ValueError(f"which must be 'half_range_sq' or 'full_range_ij', got {which!r}")
     if size < 1:
         raise ValueError(f"empty index range for p = {p}")
-    rows = []
-    for i in range(1, size + 1):
-        row = []
-        for j in range(1, size + 1):
-            r = den(i, j)
-            if r == 0:
-                raise NonUnitDenominator(i, j, r, p, p)
-            row.append(inv[r])
-        rows.append(row)
+    idx = np.arange(1, size + 1, dtype=np.int64)
+    den = (idx[:, None] ** 2 + cross * np.outer(idx, idx) + idx[None, :] ** 2) % p
+    zeros = np.argwhere(den == 0)
+    if len(zeros):
+        i, j = zeros[0].tolist()
+        raise NonUnitDenominator(i + 1, j + 1, 0, p, p)
     prov = f"invform(p={p},which={which})"
-    return Matrix(size, _freeze(rows), ctx, prov)
+    return Matrix(size, np.array(inv, dtype=np.int64)[den], ctx, prov)
 
 
 def prime_indicator_matrix(n: int) -> Matrix:
@@ -276,12 +273,7 @@ def prime_indicator_matrix(n: int) -> Matrix:
         raise ValueError(f"order must be >= 1, got {n}")
     prime = [is_prime(s) for s in range(2 * n + 1)]
     rows = [[1 if prime[i + j] else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return Matrix(n, _freeze(rows), None, f"primeind(n={n})")
-
-
-def _checkerboard_allowed(i: int, j: int) -> bool:
-    """Support rule, 1-based: cell may be nonzero iff i+j is odd or i+j == 2."""
-    return (i + j) % 2 == 1 or i + j == 2
+    return Matrix(n, rows, None, f"primeind(n={n})")
 
 
 def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Matrix:
@@ -293,17 +285,18 @@ def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Ma
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     rng = random.Random(seed)
+    support = checkerboard_support(n)
     rows = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if not _checkerboard_allowed(i, j):
+    for i in range(n):
+        for j in range(n):
+            if not support[i, j]:
                 continue
             if symmetric and j < i:
-                rows[i - 1][j - 1] = rows[j - 1][i - 1]
+                rows[i][j] = rows[j][i]
             else:
-                rows[i - 1][j - 1] = rng.randint(-9, 9)
+                rows[i][j] = rng.randint(-9, 9)
     prov = f"checkerboard(n={n},seed={seed},symmetric={symmetric})"
-    return Matrix(n, _freeze(rows), None, prov)
+    return Matrix(n, rows, None, prov)
 
 
 def random_skew_checkerboard_matrix(m: int, seed: int) -> Matrix:
@@ -312,16 +305,17 @@ def random_skew_checkerboard_matrix(m: int, seed: int) -> Matrix:
         raise ValueError(f"half-order must be >= 1, got {m}")
     n = 2 * m
     rng = random.Random(seed)
+    support = checkerboard_support(n)
     rows = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not _checkerboard_allowed(i, j):
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not support[i, j]:
                 continue
             v = rng.randint(-9, 9)
-            rows[i - 1][j - 1] = v
-            rows[j - 1][i - 1] = -v
+            rows[i][j] = v
+            rows[j][i] = -v
     prov = f"skewcheckerboard(m={m},seed={seed})"
-    return Matrix(n, _freeze(rows), None, prov)
+    return Matrix(n, rows, None, prov)
 
 
 def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
@@ -351,7 +345,7 @@ def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
 
     rows = [[value(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     prov = f"polyeval(n={n},coeffs={[list(map(int, r)) for r in coeffs]!r})"
-    return Matrix(n, _freeze(rows), None, prov)
+    return Matrix(n, rows, None, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +356,7 @@ def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
 def write_matrix(matrix: Matrix, fh: IO[str]) -> None:
     m = 0 if matrix.ctx is None else matrix.ctx.modulus
     fh.write(f"{matrix.n} {m}\n")
-    for row in matrix.entries:
+    for row in matrix.entries.tolist():
         fh.write(" ".join(str(x) for x in row) + "\n")
 
 
@@ -381,8 +375,5 @@ def read_matrix(fh: IO[str], provenance: str = "file") -> Matrix:
         parts = fh.readline().split()
         if len(parts) != n:
             raise ValueError(f"row {i + 1}: expected {n} entries, got {len(parts)}")
-        row = [int(x) for x in parts]
-        if ctx is not None and any(not 0 <= x < m for x in row):
-            raise ValueError(f"row {i + 1}: entries must be canonical residues in [0, {m})")
-        rows.append(row)
-    return Matrix(n, _freeze(rows), ctx, provenance)
+        rows.append([int(x) for x in parts])
+    return Matrix(n, rows, ctx, provenance)

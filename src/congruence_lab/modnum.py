@@ -1,13 +1,14 @@
 """Exact modular arithmetic and the scalar number theory shared by every module.
 
 All residues are canonical Python ints in [0, modulus).  A ModCtx carries the
-modulus, its classification, and the operations that keep results canonical.
+modulus, its classification, reduction and inversion.
 Moduli are always odd here: the matrix families under study never need an even
 modulus, and rejecting them early keeps inverse-of-2 tricks valid everywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 PRIME = "prime"
@@ -38,28 +39,13 @@ class InconclusiveValuation(ArithmeticError):
         self.cap = cap
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def inv_mod(a: int, m: int) -> int:
-    """Inverse of a mod m via extended gcd (works for any modulus, not just primes)."""
+    """Inverse of a mod m (works for any modulus, not just primes)."""
     a %= m
-    g, x, _ = egcd(a, m)
-    if g != 1:
-        raise NonUnitError(a, m, g)
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NonUnitError(a, m, math.gcd(a, m)) from None
 
 
 def is_prime(n: int) -> bool:
@@ -102,8 +88,8 @@ class ModCtx:
     kind is one of PRIME, PRIME_POWER, ODD_COMPOSITE.  For PRIME_POWER the base
     prime and exponent are carried along (modulus = base ** exponent, exponent
     in 2..MAX_PRIME_POWER_EXPONENT).  The kind is a routing label: engines use
-    it to decide between in-place field elimination and exact lifting; the
-    arithmetic itself is identical for every kind.
+    it to decide between in-place field elimination and exact lifting; reduction
+    and inversion are identical for every kind.
     """
 
     modulus: int
@@ -172,25 +158,8 @@ class ModCtx:
     def reduce(self, x: int) -> int:
         return x % self.modulus
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
-
-    def neg(self, a: int) -> int:
-        return -a % self.modulus
-
     def inv(self, a: int) -> int:
         return inv_mod(a, self.modulus)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.modulus)
-        return pow(a % self.modulus, e, self.modulus)
 
 
 def _smallest_odd_factor(m: int) -> int:
@@ -200,11 +169,6 @@ def _smallest_odd_factor(m: int) -> int:
             return f
         f += 2
     return m
-
-
-def pow_mod(a: int, e: int, ctx: ModCtx) -> int:
-    """Canonical a**e mod ctx.modulus (0**0 = 1 by convention)."""
-    return ctx.pow(a, e)
 
 
 def legendre(a: int, p: int) -> int:

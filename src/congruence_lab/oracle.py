@@ -130,6 +130,7 @@ def matrix_permutation_sum(
     if n > ORACLE_LIMIT:
         raise ValueError(f"oracle order must be <= {ORACLE_LIMIT}, got {n}")
     m = None if matrix.ctx is None else matrix.ctx.modulus
+    rows = matrix.entries.tolist()
     derangements_only = domain == DOMAIN_DERANGEMENTS
     skip_fixed = product_rule == PRODUCT_SKIP_FIXED
     total = 0
@@ -140,7 +141,7 @@ def matrix_permutation_sum(
         for j in range(n):
             if skip_fixed and tau[j] == j + 1:
                 continue
-            prod *= matrix.entries[j][tau[j] - 1]
+            prod *= rows[j][tau[j] - 1]
         if m is not None:
             prod %= m
         total += sign * prod if signed else prod

@@ -9,12 +9,11 @@ deterministic order so repeated sweeps agree record for record.
 from __future__ import annotations
 
 import functools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .detper import det_exact, det_field, per_ryser
 from .matgen import (
@@ -188,7 +187,7 @@ def check_column_relation(p: int, c: int, d: int) -> CheckReport:
                            "not applicable: needs p not dividing d", NOT_APPLICABLE, _ms(t0))
     matrix = quad_form_matrix(p, c, d, "full0", p - 2, ModCtx.prime(p))
     weight = (1 - 2 * d * pow(c * c - 4 * d, (p - 3) // 2, p)) % p
-    arr = np.array(matrix.entries, dtype=np.int64)
+    arr = matrix.entries
     combos = (weight * arr[0] + arr[1:].sum(axis=0)) % p
     vanishing = int((combos == 0).sum())
     return CheckReport(
@@ -487,11 +486,6 @@ def _conj10(p: int) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 # dispatch and sweeps
 
-CHECK_IDS = ("eq15", "p3", "reflection", "dp-theorem", "column-relation", "background") + tuple(
-    f"conj{k}" for k in range(1, 11)
-)
-
-
 def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> list[CheckReport]:
     """Evaluate one check cell; conjecture checks may emit several part-reports."""
     if check_id == "eq15":
@@ -597,13 +591,19 @@ def run_sweep(
     jobs: int = 1,
     per_order_cap: int | None = None,
 ) -> list[CheckReport]:
-    """Evaluate cells in order; parallelism never changes the report sequence."""
+    """Evaluate cells in order; parallelism never changes the report sequence.
+
+    jobs is an upper bound: no more workers start than there are CPUs or cells.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = list(cells)
     runner = functools.partial(_run_cell, per_order_cap=per_order_cap)
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(cells))
+    if workers <= 1:
         batches = map(runner, cells)
     else:
-        executor = ProcessPoolExecutor(max_workers=jobs)
+        executor = ProcessPoolExecutor(max_workers=workers)
         try:
             batches = list(executor.map(runner, cells, chunksize=8))
         finally:

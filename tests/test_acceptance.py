@@ -355,8 +355,7 @@ def test_criterion_12_engine_cross_agreement():
         else:
             mod = moduli[case % len(moduli)]
             ctx = ModCtx.for_modulus(mod)
-            reduced = Matrix(n, tuple(tuple(x % mod for x in r) for r in base.entries),
-                             ctx, "acceptance")
+            reduced = Matrix(n, base.entries % mod, ctx, "acceptance")
             d = det_naive(lift(reduced)) % mod
             p = per_naive(lift(reduced)) % mod
             if det_exact(lift(reduced), reduce_ctx=ctx) != d:

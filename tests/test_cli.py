@@ -298,6 +298,15 @@ def test_sweep_jobs_do_not_change_reports(capsys):
     assert strip(serial) == strip(parallel)
 
 
+def test_sweep_rejects_nonpositive_jobs(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "sweep", "conj", "--id", "10", "--pmax", "11",
+                             "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
 def test_sweep_requires_bound(capsys):
     code, _, err = run(capsys, "sweep", "eq15")
     assert code == 2

@@ -77,11 +77,11 @@ def test_det_field_requires_prime_ctx():
 
 
 def test_det_field_python_fallback_for_wide_prime():
-    # primes at/above 2**31 cannot use the int64 elimination path
+    # primes at/above 2**31 store Python ints; the same kernel runs on them exactly
     p = 2**31 + 11
     assert ModCtx.for_modulus(p).kind == "prime"
     rows = [[(i * 31 + j * 17 + 5) % p for j in range(4)] for i in range(4)]
-    m = Matrix(4, tuple(tuple(r) for r in rows), ModCtx.prime(p), "wide")
+    m = Matrix(4, rows, ModCtx.prime(p), "wide")
     expected = det_naive(lift(m)) % p
     assert det_field(m) == expected
 
@@ -172,7 +172,7 @@ def test_naive_limit():
 def test_naive_numpy_path_matches_python_path(rng):
     # big entries force the pure-python fallback; rebuilt small, both agree
     big = make_matrix(6, rng, lo=-10**9, hi=10**9)
-    small = Matrix(6, tuple(tuple(x % 97 for x in r) for r in big.entries), None, "small")
+    small = Matrix(6, big.entries % 97, None, "small")
     assert det_naive(small) == det_exact(small)
     # the big-entry matrix overflows int64 products, exercising Heap's loop
     assert det_naive(big) == det_exact(big)
@@ -210,6 +210,14 @@ def test_ryser_cap_env_var():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "capped"
+
+
+def test_ryser_exact_division_check_raises(monkeypatch):
+    # an inclusion-exclusion total that 2**(n-1) does not divide is an error
+    # that survives python -O, not an assert
+    monkeypatch.setattr(detper, "_ryser_chunk", lambda *args: 1)
+    with pytest.raises(ArithmeticError, match="not divisible by 2\\*\\*2"):
+        per_ryser(exact([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
 
 
 def test_ryser_chunks_partition_agrees(rng):
@@ -259,7 +267,7 @@ def test_checkerboard_modular_mode(rng):
     ctx = ModCtx.for_modulus(25)
     for _ in range(10):
         ex = matgen.random_checkerboard_matrix(7, rng.randrange(10**9))
-        red = Matrix(7, tuple(tuple(x % 25 for x in r) for r in ex.entries), ctx, "red")
+        red = Matrix(7, ex.entries % 25, ctx, "red")
         assert factor_checkerboard(red, "det") == det_naive(ex) % 25
         assert factor_checkerboard(red, "per") == per_naive(ex) % 25
 

@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from congruence_lab import matgen
@@ -30,7 +31,7 @@ from conftest import make_matrix
 
 def test_quadform_exact_remark_matrix():
     m = quad_form_matrix(3, 1, 1, "full0", 1, None)
-    assert m.entries == ((0, 1, 4), (1, 3, 7), (4, 7, 12))
+    assert m.entries.tolist() == [[0, 1, 4], [1, 3, 7], [4, 7, 12]]
     assert m.exact
 
 
@@ -45,8 +46,8 @@ def test_quadform_modular_matches_exact_reduction():
     ctx = ModCtx.prime(13)
     exact = quad_form_matrix(13, 4, 7, "full0", 11, None)
     modular = quad_form_matrix(13, 4, 7, "full0", 11, ctx)
-    for re, rm in zip(exact.entries, modular.entries):
-        assert tuple(x % 13 for x in re) == rm
+    for re, rm in zip(exact.entries.tolist(), modular.entries.tolist()):
+        assert [x % 13 for x in re] == rm
 
 
 def test_quadform_from1_range_drops_zero_row():
@@ -63,9 +64,9 @@ def test_quadform_large_modulus_python_path():
     big_ctx = ModCtx.for_modulus(2**31 + 11)  # odd composite, forces pure python
     big = quad_form_matrix(6, 2, 3, "full0", 4, big_ctx)
     exact = quad_form_matrix(6, 2, 3, "full0", 4, None)
-    for re, rs, rb in zip(exact.entries, small.entries, big.entries):
-        assert tuple(x % 10007 for x in re) == rs
-        assert tuple(x % (2**31 + 11) for x in re) == rb
+    for re, rs, rb in zip(exact.entries.tolist(), small.entries.tolist(), big.entries.tolist()):
+        assert [x % 10007 for x in re] == rs
+        assert [x % (2**31 + 11) for x in re] == rb
 
 
 def test_quadform_rejects_bad_range():
@@ -84,7 +85,7 @@ def test_quadform_rejects_bad_range():
 def test_cauchy_invdiff_2x2():
     ctx = ModCtx.for_modulus(9)
     m = cauchy_type_matrix(EntryKind.INV_DIFF, 2, "zero", ctx)
-    assert m.entries == ((0, 8), (1, 0))
+    assert m.entries.tolist() == [[0, 8], [1, 0]]
 
 
 def test_cauchy_unit_diagonal():
@@ -171,8 +172,8 @@ def test_inverse_form_raises_outside_residue_class():
 
 
 def test_prime_indicator_small():
-    assert prime_indicator_matrix(1).entries == ((1,),)
-    assert prime_indicator_matrix(2).entries == ((1, 1), (1, 0))
+    assert prime_indicator_matrix(1).entries.tolist() == [[1]]
+    assert prime_indicator_matrix(2).entries.tolist() == [[1, 1], [1, 0]]
 
 
 def test_prime_indicator_entries_follow_primality():
@@ -207,8 +208,8 @@ def test_checkerboard_is_seeded():
     a = random_checkerboard_matrix(6, 42)
     b = random_checkerboard_matrix(6, 42)
     c = random_checkerboard_matrix(6, 43)
-    assert a.entries == b.entries
-    assert a.entries != c.entries
+    assert np.array_equal(a.entries, b.entries)
+    assert not np.array_equal(a.entries, c.entries)
 
 
 def test_checkerboard_symmetric_flag():
@@ -239,7 +240,7 @@ def test_skew_checkerboard_rejects_nonpositive():
 
 def test_polyeval_constant_is_all_ones():
     m = poly_eval_matrix([[1]], 2)
-    assert m.entries == ((1, 1), (1, 1))
+    assert m.entries.tolist() == [[1, 1], [1, 1]]
 
 
 def test_polyeval_x_plus_j():
@@ -280,6 +281,23 @@ def test_matrix_rejects_noncanonical_residues():
     ctx = ModCtx.prime(5)
     with pytest.raises(ValueError):
         Matrix(1, ((7,),), ctx, "bad")
+    for bad in (-1, 2**70):
+        with pytest.raises(ValueError):
+            Matrix(1, ((bad,),), ctx, "bad")
+
+
+def test_matrix_rejects_non_integer_entries():
+    for ctx in (ModCtx.prime(7), ModCtx.prime(2**31 + 11), None):
+        with pytest.raises(ValueError):
+            Matrix(2, [[1.5, 2], [3, 4]], ctx, "bad")
+
+
+def test_matrix_equality_is_identity():
+    # equal entries do not make equal matrices: == never compares arrays
+    a = Matrix(2, [[1, 2], [3, 4]], None, "a")
+    b = Matrix(2, [[1, 2], [3, 4]], None, "a")
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 def test_roundtrip_exact(rng):
@@ -288,7 +306,7 @@ def test_roundtrip_exact(rng):
     write_matrix(m, buf)
     buf.seek(0)
     back = read_matrix(buf)
-    assert back.n == m.n and back.entries == m.entries and back.ctx is None
+    assert back.n == m.n and np.array_equal(back.entries, m.entries) and back.ctx is None
 
 
 def test_roundtrip_modular(rng):
@@ -300,7 +318,7 @@ def test_roundtrip_modular(rng):
     assert text.splitlines()[0] == "4 49"
     back = read_matrix(io.StringIO(text))
     assert back.ctx is not None and back.ctx.modulus == 49
-    assert back.entries == m.entries
+    assert np.array_equal(back.entries, m.entries)
 
 
 def test_read_matrix_rejects_malformed():

@@ -1,7 +1,10 @@
 """Check layer: verdicts, gates, caps, sweeps, and frozen spot values."""
 
+import os
+
 import pytest
 
+from congruence_lab import verify
 from congruence_lab.detper import det_field
 from congruence_lab.matgen import inverse_form_matrix
 from congruence_lab.modnum import odd_primes_in
@@ -364,6 +367,46 @@ def test_run_sweep_parallel_matches_serial():
     strip = lambda rs: [(r.check_id, r.params, r.computed, r.expected, r.verdict)
                         for r in rs]
     assert strip(serial) == strip(parallel)
+
+
+def test_run_sweep_clamps_workers(monkeypatch):
+    """jobs is capped by the CPU count and the cell count; no process is started."""
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingExecutor)
+    cells = sweep_cells("conj10", pmax=11)
+    assert len(cells) == 4
+    strip = lambda rs: [(r.check_id, r.params, r.computed, r.verdict) for r in rs]
+    serial = strip(run_sweep(cells))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert strip(run_sweep(cells, jobs=8)) == serial
+    run_sweep(cells[:2], jobs=8)
+    assert started == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    run_sweep(cells, jobs=2)
+    assert started == [3, 2, 2]
+    # one CPU (or an unknown count) or one cell runs in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_sweep(cells, jobs=8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    run_sweep(cells[:1], jobs=8)
+    assert started == [3, 2, 2]
+
+
+def test_run_sweep_rejects_nonpositive_jobs():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_sweep([("conj10", {"p": 7})], jobs=jobs)
 
 
 def test_run_sweep_cap_threads_through():
