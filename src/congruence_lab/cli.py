@@ -24,6 +24,12 @@ CAUCHY_BY_NAME = {
 }
 
 
+#: positional names of `check` and `sweep`; conj1..conj10 are `conj --id N`
+CHECK_NAMES = tuple(dict.fromkeys(
+    "conj" if check_id.removeprefix("conj").isdigit() else check_id for check_id in verify.CHECKS
+))
+
+
 class InputError(Exception):
     """Bad user input that should terminate with exit code 2."""
 
@@ -202,43 +208,23 @@ def cmd_per(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_params(args: argparse.Namespace) -> tuple[str, dict]:
-    check_id = args.check
-    params: dict = {}
-    if check_id == "eq15":
-        params = {"p": args.p, "c": args.c, "d": args.d}
-    elif check_id == "p3":
-        params = {"c": args.c, "d": args.d}
-    elif check_id in ("reflection", "column-relation"):
-        params = {"p": args.p, "c": args.c, "d": args.d}
-    elif check_id == "dp-theorem":
-        if args.variant is None:
-            raise InputError("dp-theorem needs --variant")
-        params = {"p": args.p, "variant": args.variant}
-        if args.variant == "c_minus1":
-            params["c"] = args.c
-    elif check_id == "background":
-        if args.which is None:
-            raise InputError("background needs --which")
-        params = {"p": args.p, "which": args.which}
-    elif check_id == "conj":
-        if args.id is None:
-            raise InputError("conj needs --id")
-        check_id = f"conj{args.id}"
-        if args.id == 1:
-            params = {"n": args.n, "c": args.c, "d": args.d}
-        else:
-            params = {"p": args.p}
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown check {check_id!r}")
-    missing = [k for k, v in params.items() if v is None]
-    if missing:
-        raise InputError(f"{check_id} needs --" + ", --".join(missing))
-    return check_id, params
+def _check_id(args: argparse.Namespace) -> str:
+    if args.check != "conj":
+        return args.check
+    if args.id is None:
+        raise InputError("conj needs --id")
+    return f"conj{args.id}"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    check_id, params = _check_params(args)
+    check_id = _check_id(args)
+    spec = verify.CHECKS.get(check_id)
+    if spec is None:
+        raise InputError(f"unknown check id {check_id!r}")
+    params = {k: getattr(args, k) for k in spec.params}
+    missing = spec.missing(params)
+    if missing:
+        raise InputError(f"{check_id} needs --" + ", --".join(missing))
     try:
         reports = verify.run_check(check_id, params, per_order_cap=args.per_order_cap)
     except (ValueError, NonUnitDenominator) as e:
@@ -248,14 +234,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    check_id = args.check
-    if check_id == "conj":
-        if args.id is None:
-            raise InputError("conj needs --id")
-        check_id = f"conj{args.id}"
     try:
         cells = verify.sweep_cells(
-            check_id,
+            _check_id(args),
             pmin=args.pmin,
             pmax=args.pmax,
             nmin=args.nmin,
@@ -274,11 +255,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("jsonl", "csv", "tty"), default="tty",
-                        help="report format (default: tty)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,38 +328,31 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=cmd_per)
 
     c = sub.add_parser("check", help="run a single check")
-    c.add_argument("check", choices=("eq15", "p3", "reflection", "dp-theorem",
-                                     "background", "column-relation", "conj"))
     c.add_argument("--p", type=int, default=None)
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--c", type=int, default=None)
     c.add_argument("--d", type=int, default=None)
-    c.add_argument("--id", type=int, default=None, help="conjecture number for 'conj'")
-    c.add_argument("--variant", choices=verify.VANISHING_VARIANTS, default=None)
-    c.add_argument("--which", choices=verify.INVERSE_FORM_WHICH, default=None)
-    c.add_argument("--per-order-cap", type=int, default=None,
-                   help="override the permanent size gate")
-    _add_format_flag(c)
-    c.set_defaults(handler=cmd_check)
 
     s = sub.add_parser("sweep", help="run a check over a parameter range")
-    s.add_argument("check", choices=("eq15", "p3", "reflection", "dp-theorem",
-                                     "background", "column-relation", "conj"))
-    s.add_argument("--id", type=int, default=None, help="conjecture number for 'conj'")
     s.add_argument("--pmin", type=int, default=3)
     s.add_argument("--pmax", type=int, default=None)
     s.add_argument("--nmin", type=int, default=5)
     s.add_argument("--nmax", type=int, default=None)
     s.add_argument("--cmax", type=int, default=None)
     s.add_argument("--dmax", type=int, default=None)
-    s.add_argument("--variant", choices=verify.VANISHING_VARIANTS, default=None)
-    s.add_argument("--which", choices=verify.INVERSE_FORM_WHICH, default=None)
     s.add_argument("--jobs", type=int, default=1,
                    help="parallel workers (changes wall time only, never output)")
-    s.add_argument("--per-order-cap", type=int, default=None,
-                   help="override the permanent size gate")
-    _add_format_flag(s)
-    s.set_defaults(handler=cmd_sweep)
+
+    for cmd, handler in ((c, cmd_check), (s, cmd_sweep)):
+        cmd.add_argument("check", choices=CHECK_NAMES)
+        cmd.add_argument("--id", type=int, default=None, help="conjecture number for 'conj'")
+        cmd.add_argument("--variant", choices=verify.VANISHING_VARIANTS, default=None)
+        cmd.add_argument("--which", choices=verify.INVERSE_FORM_WHICH, default=None)
+        cmd.add_argument("--per-order-cap", type=int, default=None,
+                         help="override the permanent size gate")
+        cmd.add_argument("--format", choices=("jsonl", "csv", "tty"), default="tty",
+                         help="report format (default: tty)")
+        cmd.set_defaults(handler=handler)
 
     b.set_defaults(handler=cmd_build)
     return parser

@@ -373,14 +373,3 @@ def factor_checkerboard(matrix: Matrix, mode: str) -> int:
         if m % 2 == 1:
             value = -value
     return value if matrix.ctx is None else matrix.ctx.reduce(value)
-
-
-# ---------------------------------------------------------------------------
-
-
-def is_perfect_square(x: int) -> bool:
-    """True iff x = y*y for some integer y (exact integer sqrt + final check)."""
-    if x < 0:
-        return False
-    y = math.isqrt(x)
-    return y * y == x

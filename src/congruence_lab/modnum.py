@@ -48,19 +48,41 @@ def inv_mod(a: int, m: int) -> int:
         raise NonUnitError(a, m, math.gcd(a, m)) from None
 
 
+#: the prime bases of the Miller-Rabin test below
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: these bases prove primality below this bound (Sorenson and Webster, Math.
+#: Comp. 86 (2017): the least strong pseudoprime to all of them)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; fine at workbench scale."""
+    """Miller-Rabin with fixed prime bases, exact for n < MR_EXACT_BELOW.
+
+    A composite answer is certain at any size.  A larger n that passes every
+    base raises ValueError, since its primality is not proven.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < MR_BASES[-1] ** 2:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in MR_BASES:
+        x = pow(a, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"{n} is a probable prime that the bases do not prove prime")
     return True
 
 
@@ -144,13 +166,10 @@ class ModCtx:
             raise ValueError(f"modulus must be an odd integer >= 3, got {m}")
         if is_prime(m):
             return cls.prime(m)
-        p = _smallest_odd_factor(m)
-        k, rest = 0, m
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        if rest == 1 and 2 <= k <= MAX_PRIME_POWER_EXPONENT:
-            return cls.prime_power(p, k)
+        for k in range(2, MAX_PRIME_POWER_EXPONENT + 1):
+            p = _iroot(m, k)
+            if p**k == m and is_prime(p):
+                return cls.prime_power(p, k)
         return cls(m, ODD_COMPOSITE)
 
     # -- arithmetic --------------------------------------------------------
@@ -162,13 +181,14 @@ class ModCtx:
         return inv_mod(a, self.modulus)
 
 
-def _smallest_odd_factor(m: int) -> int:
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return f
-        f += 2
-    return m
+def _iroot(m: int, k: int) -> int:
+    """Largest r with r**k <= m, for m >= 1, by integer Newton steps."""
+    r = 1 << -(-m.bit_length() // k)  # 2**ceil(bits/k) > m**(1/k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def legendre(a: int, p: int) -> int:
@@ -217,17 +237,6 @@ def double_factorial_mod(n: int, ctx: ModCtx) -> int:
         result = result * k % m
         k -= 2
     return result % m
-
-
-def harmonic2_mod(p: int) -> int:
-    """Sum of inv(i)^2 for i = 1..p-1, mod p (vanishes for every prime p > 3)."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"needs an odd prime, got {p}")
-    total = 0
-    for i in range(1, p):
-        v = inv_mod(i, p)
-        total += v * v
-    return total % p
 
 
 def padic_valuation(x: int, p: int, cap: int) -> tuple[int, int]:

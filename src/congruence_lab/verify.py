@@ -13,7 +13,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from types import SimpleNamespace
+from typing import Callable, Iterable
 
 from .detper import det_exact, det_field, per_ryser
 from .matgen import (
@@ -88,7 +89,6 @@ def units_grid_det(p: int, c: int, d: int) -> int:
 def check_full_grid_det_zero(p: int, c: int, d: int) -> CheckReport:
     """The det over the full index grid 0..p-1 vanishes mod p for every p > 3."""
     t0 = time.perf_counter()
-    _require_odd_prime(p)
     params = {"p": p, "c": c, "d": d}
     if p == 3:
         exact = det_exact(quad_form_matrix(3, c, d, "full0", 1, None))
@@ -118,7 +118,6 @@ def check_p3_closed_form(c: int, d: int) -> CheckReport:
 def check_reflection(p: int, c: int, d: int) -> CheckReport:
     """Negating c multiplies the units-grid det by the quadratic character of -1."""
     t0 = time.perf_counter()
-    _require_odd_prime(p)
     params = {"p": p, "c": c, "d": d}
     lhs = units_grid_det(p, -c, d)
     rhs = legendre(-1, p) * units_grid_det(p, c, d) % p
@@ -136,7 +135,6 @@ def check_vanishing_family(p: int, variant: str, c: int | None = None) -> CheckR
     are stated for p > 3.
     """
     t0 = time.perf_counter()
-    _require_odd_prime(p)
     if variant not in VANISHING_VARIANTS:
         raise ValueError(f"variant must be one of {VANISHING_VARIANTS}, got {variant!r}")
     params: dict = {"p": p, "variant": variant}
@@ -177,7 +175,6 @@ def check_column_relation(p: int, c: int, d: int) -> CheckReport:
     inverse-square harmonic sum) and p not dividing d.
     """
     t0 = time.perf_counter()
-    _require_odd_prime(p)
     params = {"p": p, "c": c, "d": d}
     if p == 3:
         return CheckReport("column-relation", params, "",
@@ -207,7 +204,6 @@ def check_inverse_form_det(p: int, which: str) -> CheckReport:
     at all 48 such primes 5 <= p < 500.  A det = 0 has symbol 0 and fails.
     """
     t0 = time.perf_counter()
-    _require_odd_prime(p)
     if which not in INVERSE_FORM_WHICH:
         raise ValueError(f"which must be one of {INVERSE_FORM_WHICH}, got {which!r}")
     params = {"p": p, "which": which}
@@ -253,78 +249,48 @@ def _verdict(computed: int, expected: int) -> str:
     return PASS if computed == expected else FAIL
 
 
-def _cap_for(conj_id: int, override: int | None) -> int:
-    return PER_ORDER_CAPS[conj_id] if override is None else override
-
-
-def check_conjecture(
-    conj_id: int,
-    p: int | None = None,
-    n: int | None = None,
-    c: int | None = None,
-    d: int | None = None,
-    per_order_cap: int | None = None,
-) -> list[CheckReport]:
-    """Run one of the ten conjecture checks; returns one report per part."""
-    if conj_id == 1:
-        if n is None or c is None or d is None:
-            raise ValueError("conjecture 1 needs n, c and d")
-        return _conj1(n, c, d)
-    if not 2 <= conj_id <= 10:
-        raise ValueError(f"conjecture id must be in 1..10, got {conj_id}")
-    if p is None:
-        raise ValueError(f"conjecture {conj_id} needs p")
-    _require_odd_prime(p)
-    if conj_id in (2, 3, 4):
-        return {2: _conj2, 3: _conj3, 4: _conj4}[conj_id](p)
-    if conj_id == 10:
-        return _conj10(p)
-    sized = {5: _conj5, 6: _conj6, 7: _conj7, 8: _conj8, 9: _conj9}
-    return sized[conj_id](p, _cap_for(conj_id, per_order_cap))
-
-
-def _conj1(n: int, c: int, d: int) -> list[CheckReport]:
+def _conj1(n: int, c: int, d: int) -> CheckReport:
     t0 = time.perf_counter()
     params = {"n": n, "c": c, "d": d}
     if n % 2 == 0 or n <= 3:
-        return [_na("conj1", params, "needs odd n > 3", t0)]
+        return _na("conj1", params, "needs odd n > 3", t0)
     j = jacobi(d, n)
     if j != -1:
-        return [_na("conj1", params, f"needs jacobi(d, n) = -1, got {j}", t0)]
+        return _na("conj1", params, f"needs jacobi(d, n) = -1, got {j}", t0)
     ctx = ModCtx.for_modulus(n * n)
     matrix = quad_form_matrix(n, c, d, "full0", n - 2, ctx)
     v = det_exact(matrix, reduce_ctx=ctx)
-    return [CheckReport("conj1", params, str(v), f"0 (mod {n}^2)",
-                        PASS if v == 0 else FAIL, _ms(t0))]
+    return CheckReport("conj1", params, str(v), f"0 (mod {n}^2)",
+                       PASS if v == 0 else FAIL, _ms(t0))
 
 
-def _conj2(p: int) -> list[CheckReport]:
+def _conj2(p: int) -> CheckReport:
     t0 = time.perf_counter()
     params = {"p": p}
     if p % 4 != 1 or p % 5 not in (2, 3):
-        return [_na("conj2", params, "needs p = 1 (mod 4) and p = +-2 (mod 5)", t0)]
+        return _na("conj2", params, "needs p = 1 (mod 4) and p = +-2 (mod 5)", t0)
     s = legendre(units_grid_det(p, 1, -1), p)
-    return [CheckReport("conj2", params, str(s), "1", _verdict(s, 1), _ms(t0))]
+    return CheckReport("conj2", params, str(s), "1", _verdict(s, 1), _ms(t0))
 
 
-def _conj3(p: int) -> list[CheckReport]:
+def _conj3(p: int) -> CheckReport:
     t0 = time.perf_counter()
     params = {"p": p}
     s = legendre(units_grid_det(p, 2, -1), p)
     ok = (s == -1) == (p % 8 == 5)
-    return [CheckReport("conj3", params, str(s), "-1 exactly when p = 5 (mod 8)",
-                        PASS if ok else FAIL, _ms(t0))]
+    return CheckReport("conj3", params, str(s), "-1 exactly when p = 5 (mod 8)",
+                       PASS if ok else FAIL, _ms(t0))
 
 
-def _conj4(p: int) -> list[CheckReport]:
+def _conj4(p: int) -> CheckReport:
     t0 = time.perf_counter()
     params = {"p": p}
     if p % 5 not in (2, 3):
-        return [_na("conj4", params, "needs p = +-2 (mod 5)", t0)]
+        return _na("conj4", params, "needs p = +-2 (mod 5)", t0)
     s = legendre(units_grid_det(p, 3, 1), p)
     expected = legendre(6, p) if p % 4 == 1 else 0
-    return [CheckReport("conj4", params, str(s), str(expected),
-                        _verdict(s, expected), _ms(t0))]
+    return CheckReport("conj4", params, str(s), str(expected),
+                       _verdict(s, expected), _ms(t0))
 
 
 def _conj5(p: int, cap: int) -> list[CheckReport]:
@@ -468,41 +434,142 @@ def _conj9(p: int, cap: int) -> list[CheckReport]:
     return reports
 
 
-def _conj10(p: int) -> list[CheckReport]:
+def _conj10(p: int) -> CheckReport:
     t0 = time.perf_counter()
     params = {"p": p}
     if p % 4 != 3 or p == 3:
-        return [_na("conj10", params, "needs p = 3 (mod 4) and p > 3", t0)]
+        return _na("conj10", params, "needs p = 3 (mod 4) and p > 3", t0)
     ctx3 = ModCtx.prime_power(p, 3)
     order = (p - 1) // 2
     matrix = cauchy_type_matrix(EntryKind.RATIO_SUM_SQUARES, order, "one", ctx3)
     v = det_exact(matrix, reduce_ctx=ctx3)
     required = 3 if p % 8 == 7 else 2
     ok = v % p**required == 0
-    return [CheckReport("conj10", params, str(v), f"0 (mod {p}^{required})",
-                        PASS if ok else FAIL, _ms(t0))]
+    return CheckReport("conj10", params, str(v), f"0 (mod {p}^{required})",
+                       PASS if ok else FAIL, _ms(t0))
 
 
 # ---------------------------------------------------------------------------
-# dispatch and sweeps
+# the check registry: one entry per check id
+
+
+Runner = Callable[[dict, int | None], list[CheckReport]]
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One check id: the params of a cell, how to run a cell, and its sweep grid.
+
+    params names a cell's params; a cell needs each of them except those in
+    optional.  run(params, cap) evaluates one cell, where cap overrides the
+    permanent size gate (None keeps the default).  grid(bounds) yields the
+    params of each sweep cell, with bounds.cmax and bounds.dmax defaulting to
+    cmax and dmax here; a sweep cannot go without the bound named by needs.
+    Runners call the checkers, which look the builders and engines up in this
+    module when they run.
+    """
+
+    params: tuple[str, ...]
+    run: Runner
+    grid: Callable[[SimpleNamespace], Iterable[dict]]
+    needs: str | None = "pmax"
+    cmax: int | None = None
+    dmax: int | None = None
+    optional: tuple[str, ...] = ()
+
+    def missing(self, params: dict) -> list[str]:
+        return [k for k in self.params if k not in self.optional and params.get(k) is None]
+
+
+def _one(checker: Callable[..., CheckReport]) -> Runner:
+    return lambda params, cap: [checker(**params)]
+
+
+def _gated(conj: Callable[[int, int], list[CheckReport]], k: int) -> Runner:
+    """Runner for conjecture k, whose permanent parts default to PER_ORDER_CAPS[k]."""
+    return lambda params, cap: conj(params["p"], PER_ORDER_CAPS[k] if cap is None else cap)
+
+
+def _prime_grid(b: SimpleNamespace) -> Iterable[dict]:
+    return ({"p": p} for p in odd_primes_in(b.pmin, b.pmax))
+
+
+def _pcd_grid(clip: bool):
+    """Cells (p, c, d) with c in 0..cmax and d in 0..dmax, both at most p - 1 if clip."""
+    def grid(b: SimpleNamespace) -> Iterable[dict]:
+        for p in odd_primes_in(b.pmin, b.pmax):
+            cmax, dmax = (min(p - 1, b.cmax), min(p - 1, b.dmax)) if clip else (b.cmax, b.dmax)
+            for c in range(cmax + 1):
+                for d in range(dmax + 1):
+                    yield {"p": p, "c": c, "d": d}
+    return grid
+
+
+def _p3_grid(b: SimpleNamespace) -> Iterable[dict]:
+    return ({"c": c, "d": d} for c in range(-b.cmax, b.cmax + 1)
+            for d in range(-b.dmax, b.dmax + 1))
+
+
+def _vanishing_grid(b: SimpleNamespace) -> Iterable[dict]:
+    for p in odd_primes_in(b.pmin, b.pmax):
+        for var in VANISHING_VARIANTS if b.variant is None else (b.variant,):
+            if var == "c_minus1":
+                yield from ({"p": p, "variant": var, "c": c} for c in range(b.cmax + 1))
+            else:
+                yield {"p": p, "variant": var}
+
+
+def _inverse_form_grid(b: SimpleNamespace) -> Iterable[dict]:
+    return ({"p": p, "which": w} for p in odd_primes_in(b.pmin, b.pmax)
+            for w in (INVERSE_FORM_WHICH if b.which is None else (b.which,)))
+
+
+def _conj1_grid(b: SimpleNamespace) -> Iterable[dict]:
+    start = b.nmin if b.nmin % 2 == 1 else b.nmin + 1
+    return ({"n": n, "c": c, "d": d} for n in range(start, b.nmax + 1, 2)
+            for c in range(b.cmax + 1) for d in range(b.dmax + 1))
+
+
+_PCD = ("p", "c", "d")
+
+CHECKS: dict[str, CheckSpec] = {
+    "eq15": CheckSpec(_PCD, _one(check_full_grid_det_zero), _pcd_grid(clip=True), cmax=6, dmax=6),
+    "p3": CheckSpec(("c", "d"), _one(check_p3_closed_form), _p3_grid, needs=None, cmax=5, dmax=5),
+    "reflection": CheckSpec(_PCD, _one(check_reflection), _pcd_grid(clip=False), cmax=6, dmax=6),
+    "dp-theorem": CheckSpec(("p", "variant", "c"), _one(check_vanishing_family),
+                            _vanishing_grid, cmax=10, optional=("c",)),
+    "background": CheckSpec(("p", "which"), _one(check_inverse_form_det), _inverse_form_grid),
+    "column-relation": CheckSpec(_PCD, _one(check_column_relation), _pcd_grid(clip=False),
+                                 cmax=6, dmax=6),
+    "conj1": CheckSpec(("n", "c", "d"), _one(_conj1), _conj1_grid, needs="nmax", cmax=3, dmax=6),
+    "conj2": CheckSpec(("p",), _one(_conj2), _prime_grid),
+    "conj3": CheckSpec(("p",), _one(_conj3), _prime_grid),
+    "conj4": CheckSpec(("p",), _one(_conj4), _prime_grid),
+    "conj5": CheckSpec(("p",), _gated(_conj5, 5), _prime_grid),
+    "conj6": CheckSpec(("p",), _gated(_conj6, 6), _prime_grid),
+    "conj7": CheckSpec(("p",), _gated(_conj7, 7), _prime_grid),
+    "conj8": CheckSpec(("p",), _gated(_conj8, 8), _prime_grid),
+    "conj9": CheckSpec(("p",), _gated(_conj9, 9), _prime_grid),
+    "conj10": CheckSpec(("p",), _one(_conj10), _prime_grid),
+}
+
+
+def _spec(check_id: str) -> CheckSpec:
+    try:
+        return CHECKS[check_id]
+    except KeyError:
+        raise ValueError(f"unknown check id {check_id!r}") from None
+
 
 def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> list[CheckReport]:
     """Evaluate one check cell; conjecture checks may emit several part-reports."""
-    if check_id == "eq15":
-        return [check_full_grid_det_zero(**params)]
-    if check_id == "p3":
-        return [check_p3_closed_form(**params)]
-    if check_id == "reflection":
-        return [check_reflection(**params)]
-    if check_id == "dp-theorem":
-        return [check_vanishing_family(**params)]
-    if check_id == "column-relation":
-        return [check_column_relation(**params)]
-    if check_id == "background":
-        return [check_inverse_form_det(**params)]
-    if check_id.startswith("conj"):
-        return check_conjecture(int(check_id[4:]), per_order_cap=per_order_cap, **params)
-    raise ValueError(f"unknown check id {check_id!r}")
+    spec = _spec(check_id)
+    missing = spec.missing(params)
+    if missing:
+        raise ValueError(f"{check_id} needs " + ", ".join(missing))
+    if "p" in spec.params:  # every statement in p is about an odd prime p
+        _require_odd_prime(params["p"])
+    return spec.run(params, per_order_cap)
 
 
 def sweep_cells(
@@ -517,68 +584,14 @@ def sweep_cells(
     which: str | None = None,
 ) -> list[tuple[str, dict]]:
     """Deterministic parameter grid for a sweep over one check id."""
-    cells: list[tuple[str, dict]] = []
-    if check_id == "eq15":
-        if pmax is None:
-            raise ValueError("eq15 sweep needs pmax")
-        cmax = 6 if cmax is None else cmax
-        dmax = 6 if dmax is None else dmax
-        for p in odd_primes_in(pmin, pmax):
-            for c in range(0, min(p - 1, cmax) + 1):
-                for d in range(0, min(p - 1, dmax) + 1):
-                    cells.append(("eq15", {"p": p, "c": c, "d": d}))
-    elif check_id == "p3":
-        cmax = 5 if cmax is None else cmax
-        dmax = 5 if dmax is None else dmax
-        for c in range(-cmax, cmax + 1):
-            for d in range(-dmax, dmax + 1):
-                cells.append(("p3", {"c": c, "d": d}))
-    elif check_id in ("reflection", "column-relation"):
-        if pmax is None:
-            raise ValueError(f"{check_id} sweep needs pmax")
-        cmax = 6 if cmax is None else cmax
-        dmax = 6 if dmax is None else dmax
-        for p in odd_primes_in(pmin, pmax):
-            for c in range(0, cmax + 1):
-                for d in range(0, dmax + 1):
-                    cells.append((check_id, {"p": p, "c": c, "d": d}))
-    elif check_id == "dp-theorem":
-        if pmax is None:
-            raise ValueError("dp-theorem sweep needs pmax")
-        cmax = 10 if cmax is None else cmax
-        variants = VANISHING_VARIANTS if variant is None else (variant,)
-        for p in odd_primes_in(pmin, pmax):
-            for var in variants:
-                if var == "c_minus1":
-                    for c in range(0, cmax + 1):
-                        cells.append(("dp-theorem", {"p": p, "variant": var, "c": c}))
-                else:
-                    cells.append(("dp-theorem", {"p": p, "variant": var}))
-    elif check_id == "background":
-        if pmax is None:
-            raise ValueError("background sweep needs pmax")
-        whiches = INVERSE_FORM_WHICH if which is None else (which,)
-        for p in odd_primes_in(pmin, pmax):
-            for w in whiches:
-                cells.append(("background", {"p": p, "which": w}))
-    elif check_id == "conj1":
-        if nmax is None:
-            raise ValueError("conj1 sweep needs nmax")
-        cmax = 3 if cmax is None else cmax
-        dmax = 6 if dmax is None else dmax
-        start = nmin if nmin % 2 == 1 else nmin + 1
-        for n in range(start, nmax + 1, 2):
-            for c in range(0, cmax + 1):
-                for d in range(0, dmax + 1):
-                    cells.append(("conj1", {"n": n, "c": c, "d": d}))
-    elif check_id.startswith("conj"):
-        if pmax is None:
-            raise ValueError(f"{check_id} sweep needs pmax")
-        for p in odd_primes_in(pmin, pmax):
-            cells.append((check_id, {"p": p}))
-    else:
-        raise ValueError(f"unknown check id {check_id!r}")
-    return cells
+    spec = _spec(check_id)
+    bounds = SimpleNamespace(
+        pmin=pmin, pmax=pmax, nmin=nmin, nmax=nmax, variant=variant, which=which,
+        cmax=spec.cmax if cmax is None else cmax, dmax=spec.dmax if dmax is None else dmax,
+    )
+    if spec.needs is not None and getattr(bounds, spec.needs) is None:
+        raise ValueError(f"{check_id} sweep needs {spec.needs}")
+    return [(check_id, params) for params in spec.grid(bounds)]
 
 
 def _run_cell(cell: tuple[str, dict], per_order_cap: int | None = None) -> list[CheckReport]:

@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from congruence_lab.matgen import Matrix
-from congruence_lab.modnum import ModCtx
+from congruence_lab.modnum import ModCtx, inv_mod, is_prime
 
 
 @pytest.fixture
@@ -23,6 +24,21 @@ def make_matrix(n, rng, *, ctx=None, lo=-9, hi=9, provenance="test"):
 def lift(matrix):
     """The same entries viewed as plain integers (exact mode)."""
     return Matrix(matrix.n, matrix.entries, None, matrix.provenance + "-lift")
+
+
+def is_perfect_square(x):
+    """True iff x = y*y for some integer y (exact integer sqrt + final check)."""
+    if x < 0:
+        return False
+    y = math.isqrt(x)
+    return y * y == x
+
+
+def harmonic2_mod(p):
+    """Sum of inv(i)^2 for i = 1..p-1, mod p (vanishes for every prime p > 3)."""
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"needs an odd prime, got {p}")
+    return sum(inv_mod(i, p) ** 2 for i in range(1, p)) % p
 
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)

@@ -21,7 +21,6 @@ from congruence_lab.detper import (
     det_field,
     det_naive,
     factor_checkerboard,
-    is_perfect_square,
     per_naive,
     per_ryser,
 )
@@ -52,7 +51,7 @@ from congruence_lab.verify import (
     sweep_cells,
 )
 
-from conftest import lift, make_matrix
+from conftest import is_perfect_square, lift, make_matrix
 
 
 def report(num, ok, detail):

@@ -153,6 +153,23 @@ def test_stdin_dash_roundtrip():
     assert proc.stdout == "10\n"
 
 
+@pytest.mark.parametrize("modulus", [2**61 - 1, (2**31 - 1) * (2**31 + 11)])
+def test_det_wide_modulus_is_classified_promptly(modulus):
+    # a prime and an odd composite with no small factor: classifying either
+    # must not stall on trial division
+    proc = subprocess.run(
+        [sys.executable, "-m", "congruence_lab", "det", "-", "--mod", str(modulus)],
+        input="1 0\n5\n", capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "5\n")
+
+
+def test_det_unproven_prime_modulus_exits_two(capsys, remark_file):
+    code, out, err = run(capsys, "det", remark_file, "--mod", str(2**89 - 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # check
 

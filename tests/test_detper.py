@@ -18,14 +18,13 @@ from congruence_lab.detper import (
     det_field,
     det_naive,
     factor_checkerboard,
-    is_perfect_square,
     per_naive,
     per_ryser,
 )
 from congruence_lab.matgen import Matrix, prime_indicator_matrix
 from congruence_lab.modnum import ModCtx
 
-from conftest import lift, make_matrix
+from conftest import is_perfect_square, lift, make_matrix
 
 REMARK = Matrix(3, ((0, 1, 4), (1, 3, 7), (4, 7, 12)), None, "remark")
 

@@ -12,7 +12,6 @@ from congruence_lab.modnum import (
     ModCtx,
     NonUnitError,
     double_factorial_mod,
-    harmonic2_mod,
     inv_mod,
     is_prime,
     jacobi,
@@ -21,6 +20,8 @@ from congruence_lab.modnum import (
     padic_valuation,
     primes_up_to,
 )
+
+from conftest import harmonic2_mod
 
 # ---------------------------------------------------------------------------
 # context construction and classification
@@ -51,6 +52,9 @@ def test_ctx_rejects_tiny():
         (15, modnum.ODD_COMPOSITE, None, None),
         (45, modnum.ODD_COMPOSITE, None, None),
         (3**6, modnum.ODD_COMPOSITE, None, None),  # beyond the p^5 cap
+        (2**61 - 1, modnum.PRIME, None, None),
+        ((2**31 - 1) * (2**31 + 11), modnum.ODD_COMPOSITE, None, None),
+        ((2**31 - 1) ** 2, modnum.PRIME_POWER, 2**31 - 1, 2),
     ],
 )
 def test_ctx_classification(m, kind, base, exponent):
@@ -143,6 +147,29 @@ def test_odd_primes_in_excludes_two():
 @given(st.integers(2, 2000))
 def test_is_prime_matches_sieve(n):
     assert is_prime(n) == (n in set(primes_up_to(2000)))
+
+
+def test_is_prime_matches_sieve_below_30000():
+    assert [n for n in range(30000) if is_prime(n)] == primes_up_to(30000)
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729, 2047, 3277, 4033, 8911,  # Carmichael numbers, base-2 pseudoprimes
+    3215031751, 2152302898747, 341550071728321, 3825123056546413051,
+    318665857834031151167461,  # strong pseudoprime to every base up to 37
+    (2**31 - 1) * (2**31 + 11), (2**61 - 1) * (2**89 - 1),
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_unproven_probable_primes():
+    assert is_prime(2**61 - 1) and is_prime(2**31 + 11)
+    for n in (2**89 - 1, modnum.MR_EXACT_BELOW):  # a prime and a pseudoprime to all bases
+        with pytest.raises(ValueError, match="not prove"):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        ModCtx.for_modulus(2**89 - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from congruence_lab.verify import (
     NOT_APPLICABLE,
     PASS,
     PER_ORDER_CAPS,
+    CHECKS,
     CheckReport,
-    check_conjecture,
     exit_code,
     run_check,
     run_sweep,
@@ -291,15 +291,15 @@ def test_conj10_gate_and_values():
 
 def test_conjecture_dispatch_validation():
     with pytest.raises(ValueError):
-        check_conjecture(11, p=5)
+        run_check("conj11", {"p": 5})
     with pytest.raises(ValueError):
-        check_conjecture(0, p=5)
+        run_check("conj0", {"p": 5})
     with pytest.raises(ValueError):
-        check_conjecture(2)  # needs p
+        run_check("conj2", {})  # needs p
     with pytest.raises(ValueError):
-        check_conjecture(1, n=5)  # needs c and d
+        run_check("conj1", {"n": 5})  # needs c and d
     with pytest.raises(ValueError):
-        check_conjecture(5, p=9)  # not prime
+        run_check("conj5", {"p": 9})  # not prime
     with pytest.raises(ValueError):
         run_check("riemann", {"p": 5})
 
@@ -346,12 +346,14 @@ def test_sweep_cells_conj1_odd_orders_only():
 
 
 def test_sweep_cells_required_bounds():
-    for check_id in ("eq15", "reflection", "column-relation", "dp-theorem",
-                     "background", "conj2"):
-        with pytest.raises(ValueError):
+    for check_id in CHECKS:
+        if check_id == "p3":
+            assert sweep_cells(check_id)  # its c, d grid needs no bound
+            continue
+        with pytest.raises(ValueError, match=f"{check_id} sweep needs [pn]max"):
             sweep_cells(check_id)
     with pytest.raises(ValueError):
-        sweep_cells("conj1")
+        sweep_cells("conj1", pmax=7)
     with pytest.raises(ValueError):
         sweep_cells("fermat", pmax=7)
 
