@@ -169,13 +169,15 @@ def cmd_det(args: argparse.Namespace) -> int:
     if engine == "auto":
         if not detper.checkerboard_violations(matrix):
             engine = "checkerboard"
-        elif matrix.ctx is not None and matrix.ctx.kind == PRIME:
-            engine = "field"
-        else:
+        elif matrix.ctx is None:
             engine = "bareiss"
+        else:
+            engine = "field" if matrix.ctx.kind == PRIME else "ring"
     try:
         if engine == "field":
             value = detper.det_field(matrix)
+        elif engine == "ring":
+            value = detper.det_mod(matrix)
         elif engine == "bareiss":
             value = detper.det_exact(matrix, reduce_ctx=matrix.ctx)
         elif engine == "naive":
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("det", help="determinant of a matrix file ('-' for stdin)")
     d.add_argument("matrix")
     d.add_argument("--mod", type=int, default=None, help="reduce an exact matrix mod this")
-    d.add_argument("--engine", choices=("auto", "field", "bareiss", "naive", "checkerboard"),
+    d.add_argument("--engine", choices=("auto", "field", "ring", "bareiss", "naive", "checkerboard"),
                    default="auto")
     d.set_defaults(handler=cmd_det)
 

@@ -1,9 +1,10 @@
 """Determinant and permanent engines.
 
 Four independent routes are kept deliberately separate so they can cross-check
-one another: in-place field elimination (prime moduli), fraction-free exact
-elimination (any modulus, via lifting), brute-force permutation sums (n <= 9),
-and the subset inclusion-exclusion kernel for permanents.  A checkerboard
+one another: elimination over Z/m (any odd modulus; det_field is its name for
+primes), fraction-free exact elimination over Z (the reference, reducible mod
+anything), brute-force permutation sums (n <= 9), and the subset
+inclusion-exclusion kernel for permanents.  A checkerboard
 factorization engine reduces supported matrices to two half-size problems.
 """
 
@@ -55,44 +56,76 @@ def _require_ctx(matrix: Matrix, ctx: ModCtx | None) -> ModCtx | None:
 # determinants
 
 
-def det_field(matrix: Matrix, ctx: ModCtx | None = None) -> int:
-    """Determinant mod a prime, by Gaussian elimination with pivot search.
+def det_mod(matrix: Matrix, ctx: ModCtx | None = None) -> int:
+    """Determinant mod any odd modulus m, by elimination over Z/m.
 
-    Works on a copy of the entries in the Matrix dtype for this modulus: int64
-    below 2**31 (products stay below 2**62), exact Python ints otherwise.
+    Needs no factorisation of m.  Works on a copy of the entries in the Matrix
+    dtype for this modulus: int64 below 2**31 (products stay below 2**62),
+    exact Python ints otherwise.  Returns 0 as soon as the running det is 0.
     """
+    ctx = _require_ctx(matrix, ctx)
+    if ctx is None:
+        raise ValueError("det_mod needs a modulus context")
+    m = ctx.modulus
+    a = (matrix.entries % m).astype(entry_dtype(ctx), copy=False)
+    n = matrix.n
+    det = 1
+    for k in range(n):
+        r = _pivot_row(a, k, m)
+        if r is None:
+            return 0
+        if r != k:
+            a[[k, r]] = a[[r, k]]
+            det = -det
+        pivot = int(a[k, k])
+        det = det * pivot % m
+        if det == 0:
+            return 0
+        if k + 1 < n and math.gcd(pivot, m) == 1:
+            factors = a[k + 1 :, k] * pow(pivot, -1, m) % m
+            a[k + 1 :, k:] = (a[k + 1 :, k:] - factors[:, None] * a[k, k:]) % m
+    return det
+
+
+def _pivot_row(a: np.ndarray, k: int, m: int) -> int | None:
+    """Row at or below k to pivot on in column k, or None if that column is 0.
+
+    A unit is taken as it is.  With no unit, Euclidean row steps
+    row_i -= (a_ik // a_rk) * row_r, unimodular over Z and never wrapping
+    around m in column k, run until one nonzero entry is left there.
+    """
+    while True:
+        nonzero = a[k:, k].nonzero()[0]
+        if len(nonzero) == 0:
+            return None
+        first = k + int(nonzero[0])
+        if math.gcd(int(a[first, k]), m) == 1:
+            return first
+        rows = k + nonzero
+        col = a[rows, k]
+        units = rows[np.gcd(col, m) == 1]
+        if len(units) or len(rows) == 1:
+            return int(units[0] if len(units) else rows[0])
+        r = rows[np.argmin(col)]
+        rest = rows[rows != r]
+        q = a[rest, k] // a[r, k]
+        a[rest, k:] = (a[rest, k:] - q[:, None] * a[r, k:]) % m
+
+
+def det_field(matrix: Matrix, ctx: ModCtx | None = None) -> int:
+    """Determinant mod a prime: det_mod restricted to prime moduli."""
     ctx = _require_ctx(matrix, ctx)
     if ctx is None or ctx.kind != PRIME:
         raise ValueError("det_field needs a prime modulus context")
-    p = ctx.modulus
-    n = matrix.n
-    a = (matrix.entries % p).astype(entry_dtype(ctx), copy=False)
-    det = 1
-    sign = 1
-    for col in range(n):
-        pivots = np.nonzero(a[col:, col])[0]
-        if len(pivots) == 0:
-            return 0
-        r = col + int(pivots[0])
-        if r != col:
-            a[[col, r]] = a[[r, col]]
-            sign = -sign
-        pivot = int(a[col, col])
-        det = det * pivot % p
-        if col + 1 < n:
-            inv = pow(pivot, -1, p)
-            factors = a[col + 1 :, col] * inv % p
-            a[col + 1 :, col:] = (a[col + 1 :, col:] - factors[:, None] * a[col, col:]) % p
-    return det * sign % p
+    return det_mod(matrix, ctx)
 
 
 def det_exact(matrix: Matrix, reduce_ctx: ModCtx | None = None) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination over Z.
 
     Residue entries are lifted to their canonical representatives.  With
-    reduce_ctx the exact value is reduced to a canonical residue at the end;
-    this is the route for prime-power and composite moduli, where in-place
-    division is not available.
+    reduce_ctx the exact value is reduced to a canonical residue at the end.
+    This is the exact reference that det_mod is checked against.
     """
     a = matrix.entries.tolist()
     n = matrix.n
@@ -326,11 +359,7 @@ def _submatrix(matrix: Matrix, block: np.ndarray, tag: str) -> Matrix:
 
 
 def _half_det(half: Matrix) -> int:
-    if half.ctx is None:
-        return det_exact(half)
-    if half.ctx.kind == PRIME:
-        return det_field(half)
-    return det_exact(half, reduce_ctx=half.ctx)
+    return det_exact(half) if half.ctx is None else det_mod(half)
 
 
 def _half_per(half: Matrix) -> int:

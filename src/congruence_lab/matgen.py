@@ -59,6 +59,14 @@ class NonUnitDenominator(ValueError):
 #: moduli below this store residues as int64, so a product of two fits in int64
 INT64_MODULUS_LIMIT = 2**31
 
+#: the largest order any builder makes; larger requests are refused before allocating
+MAX_ORDER = 2048
+
+
+def _check_order(n: int, what: str = "order") -> None:
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"{what} must be in 1..{MAX_ORDER}, got {n}")
+
 
 def entry_dtype(ctx: ModCtx | None) -> np.dtype:
     """int64 for a modulus below INT64_MODULUS_LIMIT, object (Python ints) otherwise."""
@@ -151,17 +159,16 @@ def quad_form_matrix(
     zero bases are legal (the power map realizes reciprocals as x**(N-2), and
     0 simply maps to 0).  In exact mode the power is an exact integer.
     """
-    if index_range == "full0":
-        indices = list(range(0, p_or_n))
-    elif index_range == "from1":
-        indices = list(range(1, p_or_n))
-    else:
+    if index_range not in ("full0", "from1"):
         raise ValueError(f"index_range must be 'full0' or 'from1', got {index_range!r}")
     if exponent < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
-    n = len(indices)
+    start = 0 if index_range == "full0" else 1
+    n = p_or_n - start
     if n < 1:
         raise ValueError(f"empty index range for p_or_n = {p_or_n}")
+    _check_order(n)
+    indices = list(range(start, p_or_n))
 
     mod_tag = "Z" if ctx is None else str(ctx.modulus)
     prov = f"quadform(base={p_or_n},c={c},d={d},range={index_range},exp={exponent},mod={mod_tag})"
@@ -190,8 +197,7 @@ def cauchy_type_matrix(kind: EntryKind, size: int, diagonal: str, ctx: ModCtx) -
         raise ValueError(f"{kind} is not a Cauchy-style entry kind")
     if diagonal not in ("zero", "one"):
         raise ValueError(f"diagonal must be 'zero' or 'one', got {diagonal!r}")
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    _check_order(size, "size")
     if ctx is None:
         raise ValueError("cauchy-style kinds need a modulus context (entries are inverses)")
     diag = 0 if diagonal == "zero" else 1
@@ -243,20 +249,18 @@ def inverse_form_matrix(p: int, which: str) -> Matrix:
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"needs an odd prime, got {p}")
-    ctx = ModCtx.prime(p)
-    # inverse table mod p: inv[i] for 1 <= i < p, built in O(p)
-    inv = [0, 1] + [0] * (p - 2)
-    for i in range(2, p):
-        inv[i] = -(p // i) * inv[p % i] % p
-
     if which == "half_range_sq":
         size, cross = (p - 1) // 2, 0
     elif which == "full_range_ij":
         size, cross = p - 1, -1
     else:
         raise ValueError(f"which must be 'half_range_sq' or 'full_range_ij', got {which!r}")
-    if size < 1:
-        raise ValueError(f"empty index range for p = {p}")
+    _check_order(size)
+    ctx = ModCtx.prime(p)
+    # inverse table mod p: inv[i] for 1 <= i < p, built in O(p)
+    inv = [0, 1] + [0] * (p - 2)
+    for i in range(2, p):
+        inv[i] = -(p // i) * inv[p % i] % p
     idx = np.arange(1, size + 1, dtype=np.int64)
     den = (idx[:, None] ** 2 + cross * np.outer(idx, idx) + idx[None, :] ** 2) % p
     zeros = np.argwhere(den == 0)
@@ -269,8 +273,7 @@ def inverse_form_matrix(p: int, which: str) -> Matrix:
 
 def prime_indicator_matrix(n: int) -> Matrix:
     """0/1 matrix with 1 at (i, j) iff i + j is prime (1-based indices)."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    _check_order(n)
     prime = [is_prime(s) for s in range(2 * n + 1)]
     rows = [[1 if prime[i + j] else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
     return Matrix(n, rows, None, f"primeind(n={n})")
@@ -282,8 +285,7 @@ def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Ma
     Entries are small ints in [-9, 9]; cells with i+j even (except (1,1)) are
     zero.  With symmetric=True the matrix equals its transpose.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    _check_order(n)
     rng = random.Random(seed)
     support = checkerboard_support(n)
     rows = [[0] * n for _ in range(n)]
@@ -301,9 +303,8 @@ def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Ma
 
 def random_skew_checkerboard_matrix(m: int, seed: int) -> Matrix:
     """Random skew-symmetric checkerboard-supported matrix of even order 2m."""
-    if m < 1:
-        raise ValueError(f"half-order must be >= 1, got {m}")
     n = 2 * m
+    _check_order(n)
     rng = random.Random(seed)
     support = checkerboard_support(n)
     rows = [[0] * n for _ in range(n)]
@@ -327,6 +328,7 @@ def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
+    _check_order(n)
     if not coeffs:
         raise ValueError("coeffs must contain at least one coefficient row")
     x_degree = -1
@@ -365,8 +367,7 @@ def read_matrix(fh: IO[str], provenance: str = "file") -> Matrix:
     if len(header) != 2:
         raise ValueError("header must be 'n m'")
     n, m = int(header[0]), int(header[1])
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    _check_order(n)
     if m < 0:
         raise ValueError(f"modulus must be >= 0, got {m}")
     ctx = None if m == 0 else ModCtx.for_modulus(m)

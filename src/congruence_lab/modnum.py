@@ -99,8 +99,18 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def odd_primes_in(lo: int, hi: int) -> list[int]:
-    """Odd primes p with lo <= p <= hi (2 is excluded: even moduli are out of scope)."""
-    return [p for p in primes_up_to(hi) if p >= max(lo, 3)]
+    """Odd primes p with lo <= p <= hi (2 is excluded: even moduli are out of scope).
+
+    Sieves only the window [lo, hi], by the primes up to isqrt(hi).
+    """
+    lo = max(lo, 3)
+    if hi < lo:
+        return []
+    window = bytearray([1]) * (hi - lo + 1)
+    for q in primes_up_to(math.isqrt(hi)):
+        first = max(q * q, -(-lo // q) * q)
+        window[first - lo :: q] = bytearray(len(range(first, hi + 1, q)))
+    return [lo + i for i, keep in enumerate(window) if keep]
 
 
 @dataclass(frozen=True)
@@ -109,9 +119,9 @@ class ModCtx:
 
     kind is one of PRIME, PRIME_POWER, ODD_COMPOSITE.  For PRIME_POWER the base
     prime and exponent are carried along (modulus = base ** exponent, exponent
-    in 2..MAX_PRIME_POWER_EXPONENT).  The kind is a routing label: engines use
-    it to decide between in-place field elimination and exact lifting; reduction
-    and inversion are identical for every kind.
+    in 2..MAX_PRIME_POWER_EXPONENT).  The kind is a label: det_field accepts
+    only PRIME, det_mod takes every kind alike; reduction and inversion are
+    identical for every kind.
     """
 
     modulus: int
@@ -159,8 +169,8 @@ class ModCtx:
         """Classify m and build the matching context.
 
         Prime powers p^k with k > MAX_PRIME_POWER_EXPONENT fall back to the
-        odd-composite kind: the label only affects engine routing, and the
-        exact-lift route used for composites is correct for any odd modulus.
+        odd-composite kind: the label does not change any non-prime result,
+        since det_mod is correct for any odd modulus.
         """
         if m < 3 or m % 2 == 0:
             raise ValueError(f"modulus must be an odd integer >= 3, got {m}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .matgen import CAUCHY_KINDS, EntryKind, Matrix, NonUnitDenominator, cauchy_type_matrix
-from .modnum import ModCtx, NonUnitError, PRIME
+from .modnum import ModCtx, NonUnitError
 
 ORACLE_LIMIT = 9
 
@@ -164,18 +164,12 @@ def reduction_check(spec: OracleSpec) -> bool:
     """Does the matrix-engine value match the brute-force sum for this spec?
 
     Derangement sums pair with zero-diagonal matrices, skip-fixed sums over
-    all of S_n with unit-diagonal ones; signed sums go through a determinant
-    engine and unsigned ones through the permanent kernel.
+    all of S_n with unit-diagonal ones; signed sums go through det_mod and
+    unsigned ones through the permanent kernel.
     """
-    from .detper import det_exact, det_field, per_ryser
+    from .detper import det_mod, per_ryser
 
     diagonal = "zero" if spec.domain == DOMAIN_DERANGEMENTS else "one"
     matrix = cauchy_type_matrix(spec.term, spec.n, diagonal, spec.ctx)
-    if spec.signed:
-        if spec.ctx.kind == PRIME:
-            engine_value = det_field(matrix)
-        else:
-            engine_value = det_exact(matrix, reduce_ctx=spec.ctx)
-    else:
-        engine_value = per_ryser(matrix)
+    engine_value = det_mod(matrix) if spec.signed else per_ryser(matrix)
     return engine_value == permutation_sum(spec)

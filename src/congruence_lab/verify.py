@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
-from .detper import det_exact, det_field, per_ryser
+from .detper import det_exact, det_field, det_mod, per_ryser
 from .matgen import (
+    MAX_ORDER,
     EntryKind,
     cauchy_type_matrix,
     inverse_form_matrix,
@@ -259,7 +260,7 @@ def _conj1(n: int, c: int, d: int) -> CheckReport:
         return _na("conj1", params, f"needs jacobi(d, n) = -1, got {j}", t0)
     ctx = ModCtx.for_modulus(n * n)
     matrix = quad_form_matrix(n, c, d, "full0", n - 2, ctx)
-    v = det_exact(matrix, reduce_ctx=ctx)
+    v = det_mod(matrix)
     return CheckReport("conj1", params, str(v), f"0 (mod {n}^2)",
                        PASS if v == 0 else FAIL, _ms(t0))
 
@@ -311,7 +312,7 @@ def _conj5(p: int, cap: int) -> list[CheckReport]:
                                    _verdict(v, expected), _ms(t0)))
 
     t0 = time.perf_counter()
-    v = det_exact(matrix, reduce_ctx=ctx2)
+    v = det_mod(matrix)
     reports.append(CheckReport("conj5", {"p": p, "part": "det"}, str(v),
                                f"1 (mod {p}^2)", _verdict(v, 1), _ms(t0)))
     return reports
@@ -339,7 +340,7 @@ def _conj6(p: int, cap: int) -> list[CheckReport]:
         return reports
     ctx5 = ModCtx.prime_power(p, 5)
     matrix5 = cauchy_type_matrix(EntryKind.RATIO_SUM_DIFF, order, "zero", ctx5)
-    v = det_exact(matrix5, reduce_ctx=ctx5)
+    v = det_mod(matrix5)
     e = 3 - legendre(-1, p)
     expected = f"p-adic valuation exactly {e}, unit part a square mod {p}"
     try:
@@ -401,7 +402,7 @@ def _conj8(p: int, cap: int) -> list[CheckReport]:
                                    _verdict(v, expected), _ms(t0)))
 
     t0 = time.perf_counter()
-    v = det_exact(matrix, reduce_ctx=ctx2)
+    v = det_mod(matrix)
     expected = -p * inv_mod(2, m2) % m2
     reports.append(CheckReport("conj8", {"p": p, "part": "det"}, str(v),
                                f"{expected} (mod {p}^2)", _verdict(v, expected), _ms(t0)))
@@ -426,7 +427,7 @@ def _conj9(p: int, cap: int) -> list[CheckReport]:
                                    _verdict(v, dfac_sq), _ms(t0)))
 
     t0 = time.perf_counter()
-    v = det_exact(matrix, reduce_ctx=ctx2)
+    v = det_mod(matrix)
     sign = -1 if (p + 1) // 2 % 2 == 1 else 1
     expected = sign * inv_mod(p - 2, m2) * dfac_sq % m2
     reports.append(CheckReport("conj9", {"p": p, "part": "det"}, str(v),
@@ -442,7 +443,7 @@ def _conj10(p: int) -> CheckReport:
     ctx3 = ModCtx.prime_power(p, 3)
     order = (p - 1) // 2
     matrix = cauchy_type_matrix(EntryKind.RATIO_SUM_SQUARES, order, "one", ctx3)
-    v = det_exact(matrix, reduce_ctx=ctx3)
+    v = det_mod(matrix)
     required = 3 if p % 8 == 7 else 2
     ok = v % p**required == 0
     return CheckReport("conj10", params, str(v), f"0 (mod {p}^{required})",
@@ -591,6 +592,9 @@ def sweep_cells(
     )
     if spec.needs is not None and getattr(bounds, spec.needs) is None:
         raise ValueError(f"{check_id} sweep needs {spec.needs}")
+    for name in ("pmax", "nmax"):
+        if (getattr(bounds, name) or 0) > MAX_ORDER:
+            raise ValueError(f"{name} must be at most {MAX_ORDER} (the largest matrix order)")
     return [(check_id, params) for params in spec.grid(bounds)]
 
 

@@ -19,6 +19,7 @@ import conftest
 from congruence_lab.detper import (
     det_exact,
     det_field,
+    det_mod,
     det_naive,
     factor_checkerboard,
     per_naive,
@@ -360,6 +361,8 @@ def test_criterion_12_engine_cross_agreement():
             if det_exact(lift(reduced), reduce_ctx=ctx) != d:
                 disagreements += 1
             if ctx.kind == "prime" and det_field(reduced) != d:
+                disagreements += 1
+            if det_mod(reduced) != d:
                 disagreements += 1
             if per_ryser(reduced) != p or per_ryser(reduced, chunks=3) != p:
                 disagreements += 1

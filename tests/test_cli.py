@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, engines, exit codes."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -168,6 +169,42 @@ def test_det_unproven_prime_modulus_exits_two(capsys, remark_file):
     code, out, err = run(capsys, "det", remark_file, "--mod", str(2**89 - 1))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("modulus", [9, 225])
+def test_det_non_prime_modulus_auto_engine_is_ring(remark_file, capsys, modulus):
+    code, out, err = run(capsys, "det", remark_file, "--mod", str(modulus))
+    assert (code, out, err) == (0, f"{-4 % modulus}\n", "engine: ring\n")
+    _, out_bareiss, _ = run(capsys, "det", remark_file, "--mod", str(modulus),
+                            "--engine", "bareiss")
+    assert out_bareiss == out
+
+
+def test_det_ring_engine_needs_a_modulus(remark_file, capsys):
+    code, out, err = run(capsys, "det", remark_file, "--engine", "ring")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _no_more_than_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "conj", "--id", "3", "--p", "20011"],
+    ["sweep", "conj", "--id", "3", "--pmax", "20011"],
+    ["sweep", "conj", "--id", "1", "--nmax", "4099"],
+])
+def test_orders_beyond_max_order_are_refused_before_allocating(argv):
+    # an order-20010 matrix would take about 3 GiB; under a 1 GiB address-space
+    # limit, allocating it fails with a traceback instead of the one-line error
+    proc = subprocess.run(
+        [sys.executable, "-m", "congruence_lab", *argv], capture_output=True, text=True,
+        timeout=30, preexec_fn=_no_more_than_1_gib,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "2048" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -330,3 +330,24 @@ def test_read_matrix_rejects_malformed():
 def test_read_matrix_rejects_out_of_range_residue():
     with pytest.raises(ValueError):
         read_matrix(io.StringIO("1 5\n7\n"))
+
+
+def test_builders_refuse_orders_above_max_order():
+    big = matgen.MAX_ORDER + 1
+    ctx = ModCtx.prime(4099)
+    builders = [
+        lambda: quad_form_matrix(big, 1, 1, "full0", 3, ctx),
+        lambda: quad_form_matrix(big + 1, 1, 1, "from1", 3, ctx),
+        lambda: quad_form_matrix(10**9, 1, 1, "full0", 3, None),
+        lambda: cauchy_type_matrix(EntryKind.INV_DIFF, big, "zero", ctx),
+        lambda: inverse_form_matrix(4099, "full_range_ij"),
+        lambda: prime_indicator_matrix(big),
+        lambda: random_checkerboard_matrix(big, 1),
+        lambda: random_skew_checkerboard_matrix(big // 2 + 1, 1),
+        lambda: poly_eval_matrix([[1]], big),
+        lambda: read_matrix(io.StringIO(f"{big} 0\n")),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match=f"1..{matgen.MAX_ORDER}"):
+            build()
+    assert quad_form_matrix(matgen.MAX_ORDER + 1, 1, 1, "from1", 1, ctx).n == matgen.MAX_ORDER

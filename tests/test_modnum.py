@@ -1,6 +1,7 @@
 """Modular arithmetic layer: contexts, inverses, symbols, valuations."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,22 @@ def test_primes_up_to():
 def test_odd_primes_in_excludes_two():
     assert odd_primes_in(2, 12) == [3, 5, 7, 11]
     assert odd_primes_in(14, 16) == []
+
+
+@given(st.integers(-10, 10**5), st.integers(0, 3000))
+@settings(max_examples=200, deadline=None)
+def test_odd_primes_in_window_matches_full_sieve(lo, width):
+    hi = min(lo + width, 10**5)
+    assert odd_primes_in(lo, hi) == [p for p in primes_up_to(hi) if p >= max(lo, 3)]
+
+
+def test_odd_primes_in_sieves_only_the_window():
+    t0 = time.perf_counter()
+    primes = odd_primes_in(10**7 - 100, 10**7)
+    elapsed = time.perf_counter() - t0
+    assert primes == [p for p in range(10**7 - 100, 10**7 + 1) if is_prime(p)]
+    assert len(primes) == 9
+    assert elapsed < 0.05
 
 
 @given(st.integers(2, 2000))
