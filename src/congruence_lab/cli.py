@@ -14,7 +14,7 @@ from typing import IO, Iterable
 
 from . import detper, matgen, verify
 from .matgen import EntryKind, Matrix, NonUnitDenominator
-from .modnum import ModCtx, NonUnitError, PRIME
+from .modnum import ModCtx, NonUnitError, is_prime
 
 CAUCHY_BY_NAME = {
     "invdiff": EntryKind.INV_DIFF,
@@ -103,7 +103,7 @@ def _ctx_for_flags(mod: int | None, exact: bool, default_mod: int | None) -> Mod
     if m is None:
         raise InputError("either --mod or --exact is required here")
     try:
-        return ModCtx.for_modulus(m)
+        return ModCtx(m)
     except ValueError as e:
         raise InputError(str(e)) from None
 
@@ -155,7 +155,7 @@ def _resolve_input(args: argparse.Namespace) -> Matrix:
                 )
             return matrix
         try:
-            ctx = ModCtx.for_modulus(args.mod)
+            ctx = ModCtx(args.mod)
         except ValueError as e:
             raise InputError(str(e)) from None
         return Matrix(matrix.n, matrix.entries % args.mod, ctx,
@@ -166,14 +166,14 @@ def _resolve_input(args: argparse.Namespace) -> Matrix:
 def cmd_det(args: argparse.Namespace) -> int:
     matrix = _resolve_input(args)
     engine = args.engine
-    if engine == "auto":
-        if not detper.checkerboard_violations(matrix):
-            engine = "checkerboard"
-        elif matrix.ctx is None:
-            engine = "bareiss"
-        else:
-            engine = "field" if matrix.ctx.kind == PRIME else "ring"
     try:
+        if engine == "auto":
+            if not detper.checkerboard_violations(matrix):
+                engine = "checkerboard"
+            elif matrix.ctx is None:
+                engine = "bareiss"
+            else:
+                engine = "field" if is_prime(matrix.ctx.modulus) else "ring"
         if engine == "field":
             value = detper.det_field(matrix)
         elif engine == "ring":
@@ -198,7 +198,7 @@ def cmd_per(args: argparse.Namespace) -> int:
         engine = "checkerboard" if not detper.checkerboard_violations(matrix) else "ryser"
     try:
         if engine == "ryser":
-            value = detper.per_ryser(matrix, chunks=args.chunks)
+            value = detper.per_ryser(matrix)
         elif engine == "naive":
             value = detper.per_naive(matrix)
         else:
@@ -325,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("matrix")
     q.add_argument("--mod", type=int, default=None, help="reduce an exact matrix mod this")
     q.add_argument("--engine", choices=("auto", "ryser", "naive", "checkerboard"), default="auto")
-    q.add_argument("--chunks", type=int, default=1,
-                   help="evaluate the subset range in this many chunks (same result)")
     q.set_defaults(handler=cmd_per)
 
     c = sub.add_parser("check", help="run a single check")

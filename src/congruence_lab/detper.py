@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 
 import numpy as np
 
 from .matgen import Matrix, checkerboard_support, entry_dtype
-from .modnum import ModCtx, PRIME
+from .modnum import ModCtx, is_prime
 
-DEFAULT_RYSER_CAP = 28
-HARD_RYSER_LIMIT = 32  # larger permanents are out of scope under any configuration
-RYSER_CAP_ENV = "CONGRUENCE_LAB_MAX_PER_N"
+#: the largest permanent order per_ryser takes (2**27 row-sum updates)
+RYSER_CAP = 28
 
 NAIVE_LIMIT = 9
 
@@ -113,9 +111,12 @@ def _pivot_row(a: np.ndarray, k: int, m: int) -> int | None:
 
 
 def det_field(matrix: Matrix, ctx: ModCtx | None = None) -> int:
-    """Determinant mod a prime: det_mod restricted to prime moduli."""
+    """Determinant mod a prime: det_mod restricted to prime moduli.
+
+    Raises ValueError unless is_prime proves the modulus prime.
+    """
     ctx = _require_ctx(matrix, ctx)
-    if ctx is None or ctx.kind != PRIME:
+    if ctx is None or not is_prime(ctx.modulus):
         raise ValueError("det_field needs a prime modulus context")
     return det_mod(matrix, ctx)
 
@@ -237,54 +238,28 @@ def per_naive(matrix: Matrix) -> int:
 # permanent via subset inclusion-exclusion
 
 
-def _ryser_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        cap = explicit
-    else:
-        env = os.environ.get(RYSER_CAP_ENV)
-        cap = int(env) if env else DEFAULT_RYSER_CAP
-    return min(cap, HARD_RYSER_LIMIT)
-
-
-def per_ryser(
-    matrix: Matrix,
-    ctx: ModCtx | None = None,
-    *,
-    chunks: int = 1,
-    cap: int | None = None,
-) -> int:
+def per_ryser(matrix: Matrix, ctx: ModCtx | None = None) -> int:
     """Permanent by inclusion-exclusion over 2**(n-1) column subsets.
 
-    Iterates subsets S of the first n-1 columns in Gray-code order, keeping a
-    running vector of row sums r (one column add/subtract per step), and
-    accumulates (-1)**(n-|S|) * prod_i (2*r_i - t_i) where t is the full row
-    sum vector; the total is divided by 2**(n-1) at the end (exactly in exact
-    mode, via inv(2) for odd moduli).  The subset range may be partitioned
-    into contiguous chunks; each chunk re-derives its starting row sums from
-    its first Gray mask, so chunked and serial runs are identical.
+    Iterates subsets S of the first n-1 columns in Gray-code order from the
+    empty set, keeping a running vector of row sums r (one column
+    add/subtract per step), and accumulates (-1)**(n-|S|) * prod_i (2*r_i - t_i)
+    where t is the full row sum vector; the total is divided by 2**(n-1) at
+    the end (exactly in exact mode, via inv(2) for odd moduli).  Orders above
+    RYSER_CAP raise OrderTooLarge.
     """
     ctx = _require_ctx(matrix, ctx)
     n = matrix.n
-    effective_cap = _ryser_cap(cap)
-    if n > effective_cap:
+    if n > RYSER_CAP:
         raise OrderTooLarge(
-            f"permanent of order {n} exceeds the cap {effective_cap} "
-            f"(would need 2**{n - 1} = {2 ** (n - 1)} row-sum updates; "
-            f"raise {RYSER_CAP_ENV} up to {HARD_RYSER_LIMIT} if you mean it)"
+            f"permanent of order {n} exceeds the cap {RYSER_CAP} "
+            f"(would need 2**{n - 1} = {2 ** (n - 1)} row-sum updates)"
         )
     m = None if ctx is None else ctx.modulus
     rows = (matrix.entries if m is None else matrix.entries % m).tolist()
-
-    span = 1 << (n - 1)
-    chunks = max(1, min(chunks, span))
-    bounds = [(span * q) // chunks for q in range(chunks + 1)]
-    total = 0
-    for q in range(chunks):
-        total += _ryser_chunk(rows, n, m, bounds[q], bounds[q + 1])
-        if m is not None:
-            total %= m
+    total = _ryser_sum(rows, n, m)
     if m is None:
-        quotient, remainder = divmod(total, span)
+        quotient, remainder = divmod(total, 1 << (n - 1))
         if remainder:
             raise ArithmeticError(
                 f"inclusion-exclusion sum {total} is not divisible by 2**{n - 1}"
@@ -294,22 +269,18 @@ def per_ryser(
     return total * pow(inv2, n - 1, m) % m
 
 
-def _ryser_chunk(rows: list[list[int]], n: int, m: int | None, k0: int, k1: int) -> int:
+def _ryser_sum(rows: list[list[int]], n: int, m: int | None) -> int:
+    """The signed sum over all 2**(n-1) subsets, reduced mod m if given."""
     t = [sum(row) for row in rows]
-    mask = k0 ^ (k0 >> 1)
-    r = [0] * n
-    for j in range(n - 1):
-        if mask >> j & 1:
-            for i in range(n):
-                r[i] += rows[i][j]
     if m is not None:
         t = [x % m for x in t]
-        r = [x % m for x in r]
-    parity = mask.bit_count() & 1
-    sign = -1 if (n - parity) & 1 else 1
+    r = [0] * n
+    mask = 0
+    sign = -1 if n & 1 else 1
     indices = range(n)
+    span = 1 << (n - 1)
     total = 0
-    k = k0
+    k = 0
     while True:
         prod = 1
         if m is None:
@@ -322,7 +293,7 @@ def _ryser_chunk(rows: list[list[int]], n: int, m: int | None, k0: int, k1: int)
                 prod = prod * (2 * r[i] - t[i]) % m
         total += sign * prod
         k += 1
-        if k >= k1:
+        if k == span:
             break
         j = (k & -k).bit_length() - 1
         bit = 1 << j

@@ -329,6 +329,10 @@ def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
     _check_order(n)
+    try:
+        coeffs = [[operator.index(cl) for cl in row] for row in coeffs]
+    except TypeError:
+        raise ValueError("coeffs must be a list of lists of integers") from None
     if not coeffs:
         raise ValueError("coeffs must contain at least one coefficient row")
     x_degree = -1
@@ -346,7 +350,7 @@ def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
         return total
 
     rows = [[value(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    prov = f"polyeval(n={n},coeffs={[list(map(int, r)) for r in coeffs]!r})"
+    prov = f"polyeval(n={n},coeffs={coeffs!r})"
     return Matrix(n, rows, None, prov)
 
 
@@ -370,7 +374,7 @@ def read_matrix(fh: IO[str], provenance: str = "file") -> Matrix:
     _check_order(n)
     if m < 0:
         raise ValueError(f"modulus must be >= 0, got {m}")
-    ctx = None if m == 0 else ModCtx.for_modulus(m)
+    ctx = None if m == 0 else ModCtx(m)
     rows = []
     for i in range(n):
         parts = fh.readline().split()

@@ -1,21 +1,16 @@
 """Exact modular arithmetic and the scalar number theory shared by every module.
 
-All residues are canonical Python ints in [0, modulus).  A ModCtx carries the
-modulus, its classification, reduction and inversion.
-Moduli are always odd here: the matrix families under study never need an even
-modulus, and rejecting them early keeps inverse-of-2 tricks valid everywhere.
+A ModCtx is a modulus with its reduction and inversion; scalar residues are
+canonical ints in [0, modulus).  (How a Matrix stores its residues is up to
+matgen.)  Moduli are always odd here: the matrix families under study never
+need an even modulus, and rejecting them early keeps inverse-of-2 tricks valid
+everywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-PRIME = "prime"
-PRIME_POWER = "prime-power"
-ODD_COMPOSITE = "odd-composite"
-
-MAX_PRIME_POWER_EXPONENT = 5
 
 
 class NonUnitError(ArithmeticError):
@@ -115,72 +110,38 @@ def odd_primes_in(lo: int, hi: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ModCtx:
-    """A modulus with its classification; all residue arithmetic goes through here.
+    """An odd modulus m >= 3; all residue arithmetic goes through here.
 
-    kind is one of PRIME, PRIME_POWER, ODD_COMPOSITE.  For PRIME_POWER the base
-    prime and exponent are carried along (modulus = base ** exponent, exponent
-    in 2..MAX_PRIME_POWER_EXPONENT).  The kind is a label: det_field accepts
-    only PRIME, det_mod takes every kind alike; reduction and inversion are
-    identical for every kind.
+    ModCtx(m) takes any odd m >= 3 and asks nothing else of it: det_mod and
+    the other engines work alike for every such modulus.  The prime and
+    prime_power constructors also check the primality their callers rely on.
+    Whether a modulus is prime is asked only where it matters, by is_prime
+    (det_field and the det CLI's engine choice).
     """
 
     modulus: int
-    kind: str
-    base: int | None = None
-    exponent: int | None = None
 
     def __post_init__(self):
         m = self.modulus
         if m < 3 or m % 2 == 0:
             raise ValueError(f"modulus must be an odd integer >= 3, got {m}")
-        if self.kind == PRIME:
-            if not is_prime(m):
-                raise ValueError(f"{m} is not prime")
-        elif self.kind == PRIME_POWER:
-            p, k = self.base, self.exponent
-            if p is None or k is None or not is_prime(p) or p == 2:
-                raise ValueError(f"prime-power ctx needs an odd prime base, got {p}")
-            if not 2 <= k <= MAX_PRIME_POWER_EXPONENT:
-                raise ValueError(
-                    f"prime-power exponent must be in 2..{MAX_PRIME_POWER_EXPONENT}, got {k}"
-                )
-            if p**k != m:
-                raise ValueError(f"modulus {m} != {p}^{k}")
-        elif self.kind == ODD_COMPOSITE:
-            if is_prime(m):
-                raise ValueError(f"{m} is prime; use kind={PRIME!r}")
-        else:
-            raise ValueError(f"unknown modulus kind {self.kind!r}")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def prime(cls, p: int) -> "ModCtx":
-        return cls(p, PRIME)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return cls(p)
 
     @classmethod
     def prime_power(cls, p: int, k: int) -> "ModCtx":
-        if k == 1:
-            return cls.prime(p)
-        return cls(p**k, PRIME_POWER, base=p, exponent=k)
-
-    @classmethod
-    def for_modulus(cls, m: int) -> "ModCtx":
-        """Classify m and build the matching context.
-
-        Prime powers p^k with k > MAX_PRIME_POWER_EXPONENT fall back to the
-        odd-composite kind: the label does not change any non-prime result,
-        since det_mod is correct for any odd modulus.
-        """
-        if m < 3 or m % 2 == 0:
-            raise ValueError(f"modulus must be an odd integer >= 3, got {m}")
-        if is_prime(m):
-            return cls.prime(m)
-        for k in range(2, MAX_PRIME_POWER_EXPONENT + 1):
-            p = _iroot(m, k)
-            if p**k == m and is_prime(p):
-                return cls.prime_power(p, k)
-        return cls(m, ODD_COMPOSITE)
+        """p**k for an odd prime p and any k >= 1."""
+        if p == 2 or not is_prime(p):
+            raise ValueError(f"prime-power modulus needs an odd prime base, got {p}")
+        if k < 1:
+            raise ValueError(f"prime-power exponent must be >= 1, got {k}")
+        return cls(p**k)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -189,16 +150,6 @@ class ModCtx:
 
     def inv(self, a: int) -> int:
         return inv_mod(a, self.modulus)
-
-
-def _iroot(m: int, k: int) -> int:
-    """Largest r with r**k <= m, for m >= 1, by integer Newton steps."""
-    r = 1 << -(-m.bit_length() // k)  # 2**ceil(bits/k) > m**(1/k)
-    while True:
-        s = ((k - 1) * r + m // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
 
 
 def legendre(a: int, p: int) -> int:

@@ -258,7 +258,7 @@ def _conj1(n: int, c: int, d: int) -> CheckReport:
     j = jacobi(d, n)
     if j != -1:
         return _na("conj1", params, f"needs jacobi(d, n) = -1, got {j}", t0)
-    ctx = ModCtx.for_modulus(n * n)
+    ctx = ModCtx(n * n)
     matrix = quad_form_matrix(n, c, d, "full0", n - 2, ctx)
     v = det_mod(matrix)
     return CheckReport("conj1", params, str(v), f"0 (mod {n}^2)",

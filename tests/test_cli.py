@@ -61,6 +61,13 @@ def test_build_invform_wrong_residue_class(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("coeffs", ["5", "[1]", '[["a"]]', "[[1.5]]", "null"])
+def test_build_polyeval_rejects_non_integer_coeffs(capsys, coeffs):
+    code, out, err = run(capsys, "build", "polyeval", "--n", "3", "--coeffs", coeffs)
+    assert (code, out) == (2, "")
+    assert err == "error: coeffs must be a list of lists of integers\n"
+
+
 def test_build_to_file(tmp_path, capsys):
     target = tmp_path / "m.txt"
     code, out, _ = run(capsys, "build", "quadform", "--p", "3", "--c", "1",
@@ -94,10 +101,11 @@ def test_det_naive_engine(remark_file, capsys):
 
 
 def test_det_mod_reduces_exact_input(remark_file, capsys):
-    code, out, err = run(capsys, "det", remark_file, "--mod", "3")
-    assert code == 0
-    assert out == "2\n"
-    assert err == "engine: field\n"
+    for p in (3, 97, 2**61 - 1):
+        code, out, err = run(capsys, "det", remark_file, "--mod", str(p))
+        assert code == 0
+        assert out == f"{-4 % p}\n"
+        assert err == "engine: field\n"
 
 
 def test_det_field_and_bareiss_agree(remark_file, capsys):
@@ -127,14 +135,6 @@ def test_per_all_ones(tmp_path, capsys):
     assert (code, out, err) == (0, "6\n", "engine: ryser\n")
     code, out, _ = run(capsys, "per", str(path), "--engine", "naive")
     assert out == "6\n"
-
-
-def test_per_chunks_flag(tmp_path, capsys):
-    path = tmp_path / "m.txt"
-    path.write_text("3 0\n1 2 3\n4 5 6\n7 8 10\n")
-    _, serial, _ = run(capsys, "per", str(path), "--engine", "ryser")
-    _, chunked, _ = run(capsys, "per", str(path), "--engine", "ryser", "--chunks", "4")
-    assert serial == chunked == "463\n"
 
 
 def test_checkerboard_auto_engine_on_primeind(tmp_path, capsys):
@@ -171,13 +171,21 @@ def test_det_unproven_prime_modulus_exits_two(capsys, remark_file):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("modulus", [9, 225])
+@pytest.mark.parametrize("modulus", [
+    9, 25, 343, 3**5, 15, 45, 225, 3**6, (2**31 - 1) * (2**31 + 11), (2**31 - 1) ** 2,
+])
 def test_det_non_prime_modulus_auto_engine_is_ring(remark_file, capsys, modulus):
     code, out, err = run(capsys, "det", remark_file, "--mod", str(modulus))
     assert (code, out, err) == (0, f"{-4 % modulus}\n", "engine: ring\n")
     _, out_bareiss, _ = run(capsys, "det", remark_file, "--mod", str(modulus),
                             "--engine", "bareiss")
     assert out_bareiss == out
+
+
+def test_det_field_engine_refuses_non_prime_modulus(remark_file, capsys):
+    code, out, err = run(capsys, "det", remark_file, "--mod", "9", "--engine", "field")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_det_ring_engine_needs_a_modulus(remark_file, capsys):

@@ -1,9 +1,6 @@
 """Determinant and permanent engines, checkerboard factorization."""
 
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +19,7 @@ from congruence_lab.detper import (
     per_ryser,
 )
 from congruence_lab.matgen import Matrix, prime_indicator_matrix
-from congruence_lab.modnum import ModCtx
+from congruence_lab.modnum import ModCtx, is_prime
 
 from conftest import is_perfect_square, lift, make_matrix
 
@@ -36,7 +33,7 @@ def exact(rows):
 
 def modular(rows, m):
     rows = tuple(tuple(x % m for x in r) for r in rows)
-    return Matrix(len(rows), rows, ModCtx.for_modulus(m), "literal")
+    return Matrix(len(rows), rows, ModCtx(m), "literal")
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +75,7 @@ def test_det_field_requires_prime_ctx():
 def test_det_field_python_fallback_for_wide_prime():
     # primes at/above 2**31 store Python ints; the same kernel runs on them exactly
     p = 2**31 + 11
-    assert ModCtx.for_modulus(p).kind == "prime"
+    assert is_prime(p)
     rows = [[(i * 31 + j * 17 + 5) % p for j in range(4)] for i in range(4)]
     m = Matrix(4, rows, ModCtx.prime(p), "wide")
     expected = det_naive(lift(m)) % p
@@ -89,7 +86,7 @@ def test_det_exact_reduce_ctx_routes_composites():
     rows = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
     d = det_naive(exact(rows))
     for m in (9, 15, 343):
-        got = det_exact(exact(rows), reduce_ctx=ModCtx.for_modulus(m))
+        got = det_exact(exact(rows), reduce_ctx=ModCtx(m))
         assert got == d % m
 
 
@@ -142,7 +139,6 @@ def test_engines_agree_exact(seed, n):
     assert det_exact(m) == d
     p = per_naive(m)
     assert per_ryser(m) == p
-    assert per_ryser(m, chunks=3) == p
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from([3, 7, 25, 27, 33, 101]))
@@ -151,11 +147,11 @@ def test_engines_agree_modular(seed, n, mod):
     import random
 
     r = random.Random(seed)
-    ctx = ModCtx.for_modulus(mod)
+    ctx = ModCtx(mod)
     m = make_matrix(n, r, ctx=ctx)
     d = det_naive(lift(m)) % mod
     assert det_exact(lift(m), reduce_ctx=ctx) == d
-    if ctx.kind == "prime":
+    if is_prime(mod):
         assert det_field(m) == d
     assert per_ryser(m) == per_naive(lift(m)) % mod
 
@@ -182,48 +178,21 @@ def test_naive_numpy_path_matches_python_path(rng):
 # Ryser caps
 
 
-def test_ryser_cap_explicit():
+def test_ryser_cap_is_fixed():
+    assert detper.RYSER_CAP == 28
+    m = exact([[0] * 29 for _ in range(29)])
+    with pytest.raises(OrderTooLarge, match="exceeds the cap 28"):
+        per_ryser(m)
     m = exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    with pytest.raises(OrderTooLarge):
-        per_ryser(m, cap=2)
-    assert per_ryser(m, cap=3) == per_naive(m)
-
-
-def test_ryser_hard_limit_not_overridable():
-    m = exact([[0] * 33 for _ in range(33)])
-    with pytest.raises(OrderTooLarge):
-        per_ryser(m, cap=100)
-
-
-def test_ryser_cap_env_var():
-    code = (
-        "from congruence_lab import detper, matgen\n"
-        "m = matgen.Matrix(3, ((1,2,3),(4,5,6),(7,8,10)), None, 't')\n"
-        "try:\n"
-        "    detper.per_ryser(m)\n"
-        "    print('ran')\n"
-        "except detper.OrderTooLarge:\n"
-        "    print('capped')\n"
-    )
-    env = dict(os.environ, CONGRUENCE_LAB_MAX_PER_N="2")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "capped"
+    assert per_ryser(m) == per_naive(m)
 
 
 def test_ryser_exact_division_check_raises(monkeypatch):
     # an inclusion-exclusion total that 2**(n-1) does not divide is an error
     # that survives python -O, not an assert
-    monkeypatch.setattr(detper, "_ryser_chunk", lambda *args: 1)
+    monkeypatch.setattr(detper, "_ryser_sum", lambda *args: 1)
     with pytest.raises(ArithmeticError, match="not divisible by 2\\*\\*2"):
         per_ryser(exact([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
-
-
-def test_ryser_chunks_partition_agrees(rng):
-    m = make_matrix(8, rng)
-    base = per_ryser(m)
-    for chunks in (2, 3, 5, 8, 64):
-        assert per_ryser(m, chunks=chunks) == base
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +232,7 @@ def test_checkerboard_matches_naive(n, rng):
 
 
 def test_checkerboard_modular_mode(rng):
-    ctx = ModCtx.for_modulus(25)
+    ctx = ModCtx(25)
     for _ in range(10):
         ex = matgen.random_checkerboard_matrix(7, rng.randrange(10**9))
         red = Matrix(7, ex.entries % 25, ctx, "red")
@@ -334,7 +303,7 @@ def test_ctx_override_must_match():
 
 def test_per_ryser_modular_inverse_halving(rng):
     # the modular route multiplies by inv(2)^(n-1); cross-check against exact
-    ctx = ModCtx.for_modulus(81)
+    ctx = ModCtx(81)
     for _ in range(10):
         m = make_matrix(5, rng, ctx=ctx)
         assert per_ryser(m) == per_naive(lift(m)) % 81

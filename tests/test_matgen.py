@@ -61,7 +61,7 @@ def test_quadform_from1_range_drops_zero_row():
 def test_quadform_large_modulus_python_path():
     """Moduli at or beyond 2^31 avoid the vectorized path but agree with it."""
     small = quad_form_matrix(6, 2, 3, "full0", 4, ModCtx.prime(10007))
-    big_ctx = ModCtx.for_modulus(2**31 + 11)  # odd composite, forces pure python
+    big_ctx = ModCtx(2**31 + 11)  # a prime above 2**31, forces pure python
     big = quad_form_matrix(6, 2, 3, "full0", 4, big_ctx)
     exact = quad_form_matrix(6, 2, 3, "full0", 4, None)
     for re, rs, rb in zip(exact.entries.tolist(), small.entries.tolist(), big.entries.tolist()):
@@ -83,7 +83,7 @@ def test_quadform_rejects_bad_range():
 
 
 def test_cauchy_invdiff_2x2():
-    ctx = ModCtx.for_modulus(9)
+    ctx = ModCtx(9)
     m = cauchy_type_matrix(EntryKind.INV_DIFF, 2, "zero", ctx)
     assert m.entries.tolist() == [[0, 8], [1, 0]]
 
@@ -114,7 +114,7 @@ def test_cauchy_entry_formulas():
 
 
 def test_cauchy_nonunit_denominator_is_reported():
-    ctx = ModCtx.for_modulus(9)
+    ctx = ModCtx(9)
     with pytest.raises(NonUnitDenominator) as e:
         cauchy_type_matrix(EntryKind.INV_DIFF, 6, "zero", ctx)
     assert e.value.gcd == 3
@@ -310,7 +310,7 @@ def test_roundtrip_exact(rng):
 
 
 def test_roundtrip_modular(rng):
-    ctx = ModCtx.for_modulus(49)
+    ctx = ModCtx(49)
     m = make_matrix(4, rng, ctx=ctx)
     buf = io.StringIO()
     write_matrix(m, buf)

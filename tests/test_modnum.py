@@ -25,53 +25,29 @@ from congruence_lab.modnum import (
 from conftest import harmonic2_mod
 
 # ---------------------------------------------------------------------------
-# context construction and classification
+# context construction
 
 
 def test_ctx_rejects_even_moduli():
     for m in (2, 4, 6, 100):
         with pytest.raises(ValueError):
-            ModCtx.for_modulus(m)
+            ModCtx(m)
 
 
 def test_ctx_rejects_tiny():
     with pytest.raises(ValueError):
-        ModCtx.for_modulus(1)
+        ModCtx(1)
     with pytest.raises(ValueError):
-        ModCtx.for_modulus(-7)
+        ModCtx(-7)
 
 
-@pytest.mark.parametrize(
-    "m,kind,base,exponent",
-    [
-        (3, modnum.PRIME, None, None),
-        (97, modnum.PRIME, None, None),
-        (9, modnum.PRIME_POWER, 3, 2),
-        (25, modnum.PRIME_POWER, 5, 2),
-        (343, modnum.PRIME_POWER, 7, 3),
-        (3**5, modnum.PRIME_POWER, 3, 5),
-        (15, modnum.ODD_COMPOSITE, None, None),
-        (45, modnum.ODD_COMPOSITE, None, None),
-        (3**6, modnum.ODD_COMPOSITE, None, None),  # beyond the p^5 cap
-        (2**61 - 1, modnum.PRIME, None, None),
-        ((2**31 - 1) * (2**31 + 11), modnum.ODD_COMPOSITE, None, None),
-        ((2**31 - 1) ** 2, modnum.PRIME_POWER, 2**31 - 1, 2),
-    ],
-)
-def test_ctx_classification(m, kind, base, exponent):
-    ctx = ModCtx.for_modulus(m)
-    assert ctx.modulus == m
-    assert ctx.kind == kind
-    assert ctx.base == base
-    assert ctx.exponent == exponent
-
-
-def test_prime_power_constructor_caps_exponent():
-    assert ModCtx.prime_power(3, 5).modulus == 243
+def test_prime_power_constructor():
+    assert ModCtx.prime_power(3, 6).modulus == 729  # no exponent cap
+    assert ModCtx.prime_power(7, 1) == ModCtx.prime(7)
     with pytest.raises(ValueError):
-        ModCtx.prime_power(3, 6)
-    # k = 1 degrades to a plain prime context
-    assert ModCtx.prime_power(7, 1).kind == modnum.PRIME
+        ModCtx.prime_power(9, 2)
+    with pytest.raises(ValueError):
+        ModCtx.prime_power(3, 0)
 
 
 def test_prime_constructor_validates():
@@ -112,7 +88,7 @@ def test_inv_nonunit_reports_gcd():
 
 @given(st.sampled_from([3, 7, 9, 15, 25, 27, 105, 343]), st.integers(-300, 300))
 def test_inv_times_value_is_one(m, a):
-    ctx = ModCtx.for_modulus(m)
+    ctx = ModCtx(m)
     if math.gcd(a, m) == 1:
         assert ctx.inv(a) * a % m == 1
     else:
@@ -121,7 +97,7 @@ def test_inv_times_value_is_one(m, a):
 
 
 def test_ctx_ring_ops_are_canonical():
-    ctx = ModCtx.for_modulus(9)
+    ctx = ModCtx(9)
     assert 0 <= ctx.reduce(-123) < 9
 
 
@@ -186,7 +162,7 @@ def test_is_prime_refuses_unproven_probable_primes():
         with pytest.raises(ValueError, match="not prove"):
             is_prime(n)
     with pytest.raises(ValueError):
-        ModCtx.for_modulus(2**89 - 1)
+        ModCtx.prime(2**89 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +243,17 @@ def test_jacobi_on_primes_is_legendre():
 
 
 def test_double_factorial_conventions():
-    ctx = ModCtx.for_modulus(25)
+    ctx = ModCtx(25)
     assert double_factorial_mod(0, ctx) == 1
     assert double_factorial_mod(-1, ctx) == 1
     assert double_factorial_mod(3, ctx) == 3
-    assert double_factorial_mod(5, ModCtx.for_modulus(49)) == 15
+    assert double_factorial_mod(5, ModCtx(49)) == 15
     with pytest.raises(ValueError):
         double_factorial_mod(-2, ctx)
 
 
 def test_double_factorial_matches_exact():
-    ctx = ModCtx.for_modulus(10007)
+    ctx = ModCtx(10007)
     for n in range(1, 30):
         exact = math.prod(range(n, 0, -2))
         assert double_factorial_mod(n, ctx) == exact % 10007

@@ -113,7 +113,7 @@ def test_matrix_sum_agrees_with_naive_engines(seed, n):
 
 
 def test_matrix_sum_modular(rng):
-    ctx = ModCtx.for_modulus(27)
+    ctx = ModCtx(27)
     for _ in range(10):
         m = make_matrix(4, rng, ctx=ctx)
         assert matrix_permutation_sum(m, signed=True) == det_naive(lift(m)) % 27
@@ -125,7 +125,7 @@ def test_matrix_sum_modular(rng):
 
 
 def spec(n, mod, term, *, signed=False, domain=DOMAIN_ALL, product=PRODUCT_ALL):
-    return OracleSpec(n, signed, domain, product, term, ModCtx.for_modulus(mod))
+    return OracleSpec(n, signed, domain, product, term, ModCtx(mod))
 
 
 def test_single_point_skip_fixed_is_one():
@@ -152,7 +152,7 @@ def test_non_unit_difference_raises():
 
 
 def test_spec_validation():
-    ctx = ModCtx.for_modulus(7)
+    ctx = ModCtx(7)
     with pytest.raises(ValueError):
         OracleSpec(0, False, DOMAIN_ALL, PRODUCT_ALL, EntryKind.INV_DIFF, ctx)
     with pytest.raises(ValueError):
