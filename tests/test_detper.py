@@ -178,13 +178,22 @@ def test_naive_numpy_path_matches_python_path(rng):
 # Ryser caps
 
 
-def test_ryser_cap_is_fixed():
+def test_ryser_cap_explicit():
     assert detper.RYSER_CAP == 28
     m = exact([[0] * 29 for _ in range(29)])
     with pytest.raises(OrderTooLarge, match="exceeds the cap 28"):
         per_ryser(m)
     m = exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert per_ryser(m) == per_naive(m)
+
+
+def test_ryser_hard_limit_not_overridable():
+    # the cap is a constant: per_ryser takes no keyword that moves it
+    m = exact([[0] * 33 for _ in range(33)])
+    with pytest.raises(TypeError):
+        per_ryser(m, cap=100)
+    with pytest.raises(OrderTooLarge):
+        per_ryser(m)
 
 
 def test_ryser_exact_division_check_raises(monkeypatch):

@@ -41,6 +41,38 @@ def test_ctx_rejects_tiny():
         ModCtx(-7)
 
 
+@pytest.mark.parametrize(
+    "m,kind,base,exponent",
+    [
+        (3, "prime", None, None),
+        (97, "prime", None, None),
+        (9, "prime-power", 3, 2),
+        (25, "prime-power", 5, 2),
+        (343, "prime-power", 7, 3),
+        (3**5, "prime-power", 3, 5),
+        (15, "odd-composite", None, None),
+        (45, "odd-composite", None, None),
+        (3**6, "odd-composite", None, None),  # the old label beyond p^5
+        (2**61 - 1, "prime", None, None),
+        ((2**31 - 1) * (2**31 + 11), "odd-composite", None, None),
+        ((2**31 - 1) ** 2, "prime-power", 2**31 - 1, 2),
+    ],
+)
+def test_ctx_classification(m, kind, base, exponent):
+    # ModCtx carries only its modulus; what kind of modulus it is comes from
+    # is_prime and the prime / prime_power constructors
+    ctx = ModCtx(m)
+    assert ctx.modulus == m
+    assert is_prime(m) == (kind == "prime")
+    if kind == "prime":
+        assert ModCtx.prime(m) == ctx
+    else:
+        with pytest.raises(ValueError):
+            ModCtx.prime(m)
+    if kind == "prime-power":
+        assert ModCtx.prime_power(base, exponent) == ctx
+
+
 def test_prime_power_constructor():
     assert ModCtx.prime_power(3, 6).modulus == 729  # no exponent cap
     assert ModCtx.prime_power(7, 1) == ModCtx.prime(7)
