@@ -117,10 +117,6 @@ class Matrix:
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
-    @property
-    def exact(self) -> bool:
-        return self.ctx is None
-
 
 def checkerboard_support(n: int) -> np.ndarray:
     """Cells (0-based) that may be nonzero: 1-based i+j odd, or i+j == 2."""
@@ -172,7 +168,7 @@ def quad_form_matrix(
 
     mod_tag = "Z" if ctx is None else str(ctx.modulus)
     prov = f"quadform(base={p_or_n},c={c},d={d},range={index_range},exp={exponent},mod={mod_tag})"
-    if entry_dtype(ctx) == np.int64 and p_or_n < 2**15:
+    if entry_dtype(ctx) == np.int64:
         m = ctx.modulus
         idx = np.array(indices, dtype=np.int64)
         sq = idx * idx % m

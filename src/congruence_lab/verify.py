@@ -2,24 +2,27 @@
 
 Every checker is hypothesis-gated: parameters outside the stated residue
 class come back as not-applicable, never as failures.  Size-capped permanent
-parts come back as inconclusive with the reason.  Reports are produced in a
-deterministic order so repeated sweeps agree record for record.
+parts come back as inconclusive with the reason.  A checker only returns what
+it found, as an Outcome; run_check turns outcomes into reports.  Reports are
+produced in a deterministic order so repeated sweeps agree record for record.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .detper import det_exact, det_field, det_mod, per_ryser
 from .matgen import (
     MAX_ORDER,
     EntryKind,
+    Matrix,
     cauchy_type_matrix,
     inverse_form_matrix,
     quad_form_matrix,
@@ -43,6 +46,9 @@ NOT_APPLICABLE = "not-applicable"
 
 #: default order caps for the parts that run the permanent kernel
 PER_ORDER_CAPS = {5: 12, 6: 12, 7: 17, 8: 17, 9: 17}
+
+#: the most cells one sweep may hold; a larger grid is refused before it runs
+MAX_CELLS = 10**5
 
 VANISHING_VARIANTS = ("c_minus1", "two_two", "six_six")
 INVERSE_FORM_WHICH = ("half_range_sq", "full_range_ij")
@@ -68,10 +74,6 @@ class CheckReport:
         }
 
 
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
-
-
 def _require_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -83,91 +85,73 @@ def units_grid_det(p: int, c: int, d: int) -> int:
     return det_field(matrix)
 
 
+#: what a checker found: (computed, expected, verdict)
+Outcome = tuple[str, str, str]
+
+
+def _outcome(computed: object, expected_text: str, ok: bool) -> Outcome:
+    return str(computed), expected_text, PASS if ok else FAIL
+
+
+def _na(reason: str) -> Outcome:
+    return "", f"not applicable: {reason}", NOT_APPLICABLE
+
+
 # ---------------------------------------------------------------------------
 # identity checks
 
 
-def check_full_grid_det_zero(p: int, c: int, d: int) -> CheckReport:
+def check_full_grid_det_zero(p: int, c: int, d: int) -> Outcome:
     """The det over the full index grid 0..p-1 vanishes mod p for every p > 3."""
-    t0 = time.perf_counter()
-    params = {"p": p, "c": c, "d": d}
     if p == 3:
         exact = det_exact(quad_form_matrix(3, c, d, "full0", 1, None))
-        return CheckReport(
-            "eq15", params, str(exact),
-            "not applicable: needs p > 3 (order-3 exact det is -4*c*d)",
-            NOT_APPLICABLE, _ms(t0),
-        )
-    matrix = quad_form_matrix(p, c, d, "full0", p - 2, ModCtx.prime(p))
-    v = det_field(matrix)
-    return CheckReport(
-        "eq15", params, str(v), f"0 (mod {p})", PASS if v == 0 else FAIL, _ms(t0)
-    )
+        return (str(exact), "not applicable: needs p > 3 (order-3 exact det is -4*c*d)",
+                NOT_APPLICABLE)
+    v = det_field(quad_form_matrix(p, c, d, "full0", p - 2, ModCtx.prime(p)))
+    return _outcome(v, f"0 (mod {p})", v == 0)
 
 
-def check_p3_closed_form(c: int, d: int) -> CheckReport:
+def check_p3_closed_form(c: int, d: int) -> Outcome:
     """Exact order-3 determinant of the full-grid family equals -4*c*d."""
-    t0 = time.perf_counter()
     v = det_exact(quad_form_matrix(3, c, d, "full0", 1, None))
     expected = -4 * c * d
-    return CheckReport(
-        "p3", {"c": c, "d": d}, str(v), str(expected),
-        PASS if v == expected else FAIL, _ms(t0),
-    )
+    return _outcome(v, str(expected), v == expected)
 
 
-def check_reflection(p: int, c: int, d: int) -> CheckReport:
+def check_reflection(p: int, c: int, d: int) -> Outcome:
     """Negating c multiplies the units-grid det by the quadratic character of -1."""
-    t0 = time.perf_counter()
-    params = {"p": p, "c": c, "d": d}
     lhs = units_grid_det(p, -c, d)
     rhs = legendre(-1, p) * units_grid_det(p, c, d) % p
-    return CheckReport(
-        "reflection", params, str(lhs), f"{rhs} (mod {p})",
-        PASS if lhs == rhs else FAIL, _ms(t0),
-    )
+    return _outcome(lhs, f"{rhs} (mod {p})", lhs == rhs)
 
 
-def check_vanishing_family(p: int, variant: str, c: int | None = None) -> CheckReport:
+def check_vanishing_family(p: int, variant: str, c: int | None = None) -> Outcome:
     """Units-grid dets that vanish mod p on specific residue classes of p.
 
     c_minus1: d = -1, any c, for p = 3 (mod 4);  two_two: (c, d) = (2, 2) for
     p = 3 (mod 4);  six_six: (c, d) = (6, 6) for p = +-1 (mod 12).  All three
-    are stated for p > 3.
+    are stated for p > 3.  c is given exactly when the variant is c_minus1.
     """
-    t0 = time.perf_counter()
     if variant not in VANISHING_VARIANTS:
         raise ValueError(f"variant must be one of {VANISHING_VARIANTS}, got {variant!r}")
-    params: dict = {"p": p, "variant": variant}
-    if variant == "c_minus1":
-        if c is None:
-            raise ValueError("variant c_minus1 needs a value for c")
-        params["c"] = c
+    if (variant == "c_minus1") != (c is not None):
+        raise ValueError(f"variant {variant} needs a value for c" if c is None
+                         else f"variant {variant} takes no c")
     if p == 3:
-        return CheckReport("dp-theorem", params, "",
-                           "not applicable: stated for p > 3", NOT_APPLICABLE, _ms(t0))
-    if variant == "c_minus1":
-        applicable = p % 4 == 3
-        gate = "needs p = 3 (mod 4)"
-        cd = (c, -1)
-    elif variant == "two_two":
-        applicable = p % 4 == 3
-        gate = "needs p = 3 (mod 4)"
-        cd = (2, 2)
-    else:
-        applicable = p % 12 in (1, 11)
-        gate = "needs p = +-1 (mod 12)"
+        return _na("stated for p > 3")
+    if variant == "six_six":
+        if p % 12 not in (1, 11):
+            return _na("needs p = +-1 (mod 12)")
         cd = (6, 6)
-    if not applicable:
-        return CheckReport("dp-theorem", params, "", f"not applicable: {gate}",
-                           NOT_APPLICABLE, _ms(t0))
+    else:
+        if p % 4 != 3:
+            return _na("needs p = 3 (mod 4)")
+        cd = (c, -1) if variant == "c_minus1" else (2, 2)
     v = units_grid_det(p, *cd)
-    return CheckReport(
-        "dp-theorem", params, str(v), f"0 (mod {p})", PASS if v == 0 else FAIL, _ms(t0)
-    )
+    return _outcome(v, f"0 (mod {p})", v == 0)
 
 
-def check_column_relation(p: int, c: int, d: int) -> CheckReport:
+def check_column_relation(p: int, c: int, d: int) -> Outcome:
     """Fixed linear combination of each column of the full-grid matrix vanishes mod p.
 
     With a = the matrix over 0..p-1 and w = 1 - 2*d*(c*c - 4*d)**((p-3)//2),
@@ -175,27 +159,20 @@ def check_column_relation(p: int, c: int, d: int) -> CheckReport:
     (mod p).  Needs p > 3 (the top row term rests on the vanishing of the
     inverse-square harmonic sum) and p not dividing d.
     """
-    t0 = time.perf_counter()
-    params = {"p": p, "c": c, "d": d}
     if p == 3:
-        return CheckReport("column-relation", params, "",
-                           "not applicable: needs p > 3", NOT_APPLICABLE, _ms(t0))
+        return _na("needs p > 3")
     if d % p == 0:
-        return CheckReport("column-relation", params, "",
-                           "not applicable: needs p not dividing d", NOT_APPLICABLE, _ms(t0))
+        return _na("needs p not dividing d")
     matrix = quad_form_matrix(p, c, d, "full0", p - 2, ModCtx.prime(p))
     weight = (1 - 2 * d * pow(c * c - 4 * d, (p - 3) // 2, p)) % p
     arr = matrix.entries
     combos = (weight * arr[0] + arr[1:].sum(axis=0)) % p
     vanishing = int((combos == 0).sum())
-    return CheckReport(
-        "column-relation", params, str(vanishing),
-        f"{p} (columns whose weighted sum vanishes mod {p})",
-        PASS if vanishing == p else FAIL, _ms(t0),
-    )
+    return _outcome(vanishing, f"{p} (columns whose weighted sum vanishes mod {p})",
+                    vanishing == p)
 
 
-def check_inverse_form_det(p: int, which: str) -> CheckReport:
+def check_inverse_form_det(p: int, which: str) -> Outcome:
     """dets of the inverse-quadratic-form matrices against the character of 2 mod p.
 
     half_range_sq (p = 3 mod 4) is a residue congruence: det = (2/p) (mod p).
@@ -204,257 +181,157 @@ def check_inverse_form_det(p: int, which: str) -> CheckReport:
     itself does not equal (2/p) (p = 5 gives 3, not 4); the symbol form holds
     at all 48 such primes 5 <= p < 500.  A det = 0 has symbol 0 and fails.
     """
-    t0 = time.perf_counter()
     if which not in INVERSE_FORM_WHICH:
         raise ValueError(f"which must be one of {INVERSE_FORM_WHICH}, got {which!r}")
-    params = {"p": p, "which": which}
     if which == "half_range_sq" and p % 4 != 3:
-        return CheckReport("background", params, "",
-                           "not applicable: needs p = 3 (mod 4)", NOT_APPLICABLE, _ms(t0))
+        return _na("needs p = 3 (mod 4)")
     if which == "full_range_ij" and p % 3 != 2:
-        return CheckReport("background", params, "",
-                           "not applicable: needs p = 2 (mod 3)", NOT_APPLICABLE, _ms(t0))
-    matrix = inverse_form_matrix(p, which)
-    v = det_field(matrix)
+        return _na("needs p = 2 (mod 3)")
+    v = det_field(inverse_form_matrix(p, which))
     chi2 = legendre(2, p)
     if which == "half_range_sq":
-        return CheckReport(
-            "background", params, str(v), f"{chi2 % p} (mod {p})",
-            _verdict(v, chi2 % p), _ms(t0),
-        )
+        return _outcome(v, f"{chi2 % p} (mod {p})", v == chi2 % p)
     s = legendre(v, p)
-    return CheckReport(
-        "background", params, f"{v} (mod {p}); ({v}/{p}) = {s}",
-        f"(det/{p}) = (2/{p}) = {chi2}", _verdict(s, chi2), _ms(t0),
-    )
+    return _outcome(f"{v} (mod {p}); ({v}/{p}) = {s}", f"(det/{p}) = (2/{p}) = {chi2}", s == chi2)
 
 
 # ---------------------------------------------------------------------------
-# the ten conjectured congruences
+# the ten conjectured congruences; conj5..conj9 yield one (part, Outcome) per part
 
 
-def _na(check_id: str, params: dict, reason: str, t0: float) -> CheckReport:
-    return CheckReport(check_id, params, "", f"not applicable: {reason}",
-                       NOT_APPLICABLE, _ms(t0))
+def _per_part(order: int, cap: int, build: Callable[[], Matrix], expected: int, text: str,
+              mod: int | None = None) -> Outcome:
+    """The permanent of build(), reduced mod mod if given, against expected.
+
+    This is the size gate of every permanent part: above cap the part is
+    inconclusive, and nothing is built and the kernel is not called.
+    """
+    if order > cap:
+        return ("", f"inconclusive: permanent order {order} exceeds the size gate {cap}",
+                INCONCLUSIVE)
+    v = per_ryser(build())
+    if mod is not None:
+        v %= mod
+    return _outcome(v, text, v == expected)
 
 
-def _per_capped(check_id: str, params: dict, order: int, cap: int, t0: float) -> CheckReport:
-    return CheckReport(
-        check_id, params, "",
-        f"inconclusive: permanent order {order} exceeds the size gate {cap}",
-        INCONCLUSIVE, _ms(t0),
-    )
-
-
-def _verdict(computed: int, expected: int) -> str:
-    return PASS if computed == expected else FAIL
-
-
-def _conj1(n: int, c: int, d: int) -> CheckReport:
-    t0 = time.perf_counter()
-    params = {"n": n, "c": c, "d": d}
+def _conj1(n: int, c: int, d: int) -> Outcome:
     if n % 2 == 0 or n <= 3:
-        return _na("conj1", params, "needs odd n > 3", t0)
+        return _na("needs odd n > 3")
     j = jacobi(d, n)
     if j != -1:
-        return _na("conj1", params, f"needs jacobi(d, n) = -1, got {j}", t0)
-    ctx = ModCtx(n * n)
-    matrix = quad_form_matrix(n, c, d, "full0", n - 2, ctx)
-    v = det_mod(matrix)
-    return CheckReport("conj1", params, str(v), f"0 (mod {n}^2)",
-                       PASS if v == 0 else FAIL, _ms(t0))
+        return _na(f"needs jacobi(d, n) = -1, got {j}")
+    v = det_mod(quad_form_matrix(n, c, d, "full0", n - 2, ModCtx(n * n)))
+    return _outcome(v, f"0 (mod {n}^2)", v == 0)
 
 
-def _conj2(p: int) -> CheckReport:
-    t0 = time.perf_counter()
-    params = {"p": p}
+def _conj2(p: int) -> Outcome:
     if p % 4 != 1 or p % 5 not in (2, 3):
-        return _na("conj2", params, "needs p = 1 (mod 4) and p = +-2 (mod 5)", t0)
+        return _na("needs p = 1 (mod 4) and p = +-2 (mod 5)")
     s = legendre(units_grid_det(p, 1, -1), p)
-    return CheckReport("conj2", params, str(s), "1", _verdict(s, 1), _ms(t0))
+    return _outcome(s, "1", s == 1)
 
 
-def _conj3(p: int) -> CheckReport:
-    t0 = time.perf_counter()
-    params = {"p": p}
+def _conj3(p: int) -> Outcome:
     s = legendre(units_grid_det(p, 2, -1), p)
-    ok = (s == -1) == (p % 8 == 5)
-    return CheckReport("conj3", params, str(s), "-1 exactly when p = 5 (mod 8)",
-                       PASS if ok else FAIL, _ms(t0))
+    return _outcome(s, "-1 exactly when p = 5 (mod 8)", (s == -1) == (p % 8 == 5))
 
 
-def _conj4(p: int) -> CheckReport:
-    t0 = time.perf_counter()
-    params = {"p": p}
+def _conj4(p: int) -> Outcome:
     if p % 5 not in (2, 3):
-        return _na("conj4", params, "needs p = +-2 (mod 5)", t0)
+        return _na("needs p = +-2 (mod 5)")
     s = legendre(units_grid_det(p, 3, 1), p)
     expected = legendre(6, p) if p % 4 == 1 else 0
-    return CheckReport("conj4", params, str(s), str(expected),
-                       _verdict(s, expected), _ms(t0))
+    return _outcome(s, str(expected), s == expected)
 
 
-def _conj5(p: int, cap: int) -> list[CheckReport]:
-    reports = []
-    order = p - 1
+def _conj5(p: int, cap: int) -> Iterator[tuple[str, Outcome]]:
     ctx2 = ModCtx.prime_power(p, 2)
-    m2 = ctx2.modulus
-    matrix = cauchy_type_matrix(EntryKind.INV_DIFF, order, "zero", ctx2)
-
-    t0 = time.perf_counter()
-    params = {"p": p, "part": "per"}
-    if order > cap:
-        reports.append(_per_capped("conj5", params, order, cap, t0))
-    else:
-        v = per_ryser(matrix)
-        expected = legendre(-1, p) % m2
-        reports.append(CheckReport("conj5", params, str(v), f"{expected} (mod {p}^2)",
-                                   _verdict(v, expected), _ms(t0)))
-
-    t0 = time.perf_counter()
+    matrix = cauchy_type_matrix(EntryKind.INV_DIFF, p - 1, "zero", ctx2)
+    expected = legendre(-1, p) % ctx2.modulus
+    yield "per", _per_part(p - 1, cap, lambda: matrix, expected, f"{expected} (mod {p}^2)")
     v = det_mod(matrix)
-    reports.append(CheckReport("conj5", {"p": p, "part": "det"}, str(v),
-                               f"1 (mod {p}^2)", _verdict(v, 1), _ms(t0)))
-    return reports
+    yield "det", _outcome(v, f"1 (mod {p}^2)", v == 1)
 
 
-def _conj6(p: int, cap: int) -> list[CheckReport]:
-    reports = []
+def _conj6(p: int, cap: int) -> Iterator[tuple[str, Outcome]]:
     order = p - 1
-
-    t0 = time.perf_counter()
-    params = {"p": p, "part": "i"}
-    if order > cap:
-        reports.append(_per_capped("conj6", params, order, cap, t0))
-    else:
-        matrix = cauchy_type_matrix(EntryKind.RATIO_SUM_DIFF, order, "zero", ModCtx.prime(p))
-        v = per_ryser(matrix)
-        expected = (1 - 2 * legendre(-1, p)) % p
-        reports.append(CheckReport("conj6", params, str(v), f"{expected} (mod {p})",
-                                   _verdict(v, expected), _ms(t0)))
-
-    t0 = time.perf_counter()
-    params = {"p": p, "part": "ii"}
+    expected = (1 - 2 * legendre(-1, p)) % p
+    yield "i", _per_part(
+        order, cap,
+        lambda: cauchy_type_matrix(EntryKind.RATIO_SUM_DIFF, order, "zero", ModCtx.prime(p)),
+        expected, f"{expected} (mod {p})",
+    )
     if p == 3:
-        reports.append(_na("conj6", params, "needs p > 3", t0))
-        return reports
+        yield "ii", _na("needs p > 3")
+        return
     ctx5 = ModCtx.prime_power(p, 5)
-    matrix5 = cauchy_type_matrix(EntryKind.RATIO_SUM_DIFF, order, "zero", ctx5)
-    v = det_mod(matrix5)
+    v = det_mod(cauchy_type_matrix(EntryKind.RATIO_SUM_DIFF, order, "zero", ctx5))
     e = 3 - legendre(-1, p)
-    expected = f"p-adic valuation exactly {e}, unit part a square mod {p}"
+    text = f"p-adic valuation exactly {e}, unit part a square mod {p}"
     try:
         val, unit = padic_valuation(v, p, 5)
     except InconclusiveValuation:
-        reports.append(CheckReport("conj6", params, str(v), expected, INCONCLUSIVE, _ms(t0)))
-        return reports
-    ok = val == e and legendre(unit, p) == 1
-    reports.append(CheckReport("conj6", params, str(v), expected,
-                               PASS if ok else FAIL, _ms(t0)))
-    return reports
+        yield "ii", (str(v), text, INCONCLUSIVE)
+        return
+    yield "ii", _outcome(v, text, val == e and legendre(unit, p) == 1)
 
 
-def _conj7(p: int, cap: int) -> list[CheckReport]:
-    reports = []
-
-    t0 = time.perf_counter()
-    params = {"p": p, "part": "full"}
-    order = p - 1
-    if order > cap:
-        reports.append(_per_capped("conj7", params, order, cap, t0))
-    else:
-        matrix = cauchy_type_matrix(EntryKind.INV_DIFF, order, "one", ModCtx.prime(p))
-        v = per_ryser(matrix)
-        expected = (1 + legendre(-1, p)) % p
-        reports.append(CheckReport("conj7", params, str(v), f"{expected} (mod {p})",
-                                   _verdict(v, expected), _ms(t0)))
-
-    t0 = time.perf_counter()
-    params = {"p": p, "part": "half"}
+def _conj7(p: int, cap: int) -> Iterator[tuple[str, Outcome]]:
+    expected = (1 + legendre(-1, p)) % p
+    yield "full", _per_part(
+        p - 1, cap, lambda: cauchy_type_matrix(EntryKind.INV_DIFF, p - 1, "one", ModCtx.prime(p)),
+        expected, f"{expected} (mod {p})",
+    )
     if p % 4 != 3:
-        reports.append(_na("conj7", params, "half-range part needs p = 3 (mod 4)", t0))
-        return reports
-    order = (p - 1) // 2
-    if order > cap:
-        reports.append(_per_capped("conj7", params, order, cap, t0))
-        return reports
-    matrix = cauchy_type_matrix(EntryKind.INV_DIFF_SQUARES, order, "one", ModCtx.prime(p))
-    v = per_ryser(matrix)
-    reports.append(CheckReport("conj7", params, str(v), f"{1 % p} (mod {p})",
-                               _verdict(v, 1 % p), _ms(t0)))
-    return reports
+        yield "half", _na("half-range part needs p = 3 (mod 4)")
+        return
+    half = (p - 1) // 2
+    yield "half", _per_part(
+        half, cap,
+        lambda: cauchy_type_matrix(EntryKind.INV_DIFF_SQUARES, half, "one", ModCtx.prime(p)),
+        1 % p, f"{1 % p} (mod {p})",
+    )
 
 
-def _conj8(p: int, cap: int) -> list[CheckReport]:
-    reports = []
+def _conj8(p: int, cap: int) -> Iterator[tuple[str, Outcome]]:
     ctx2 = ModCtx.prime_power(p, 2)
     m2 = ctx2.modulus
     matrix = cauchy_type_matrix(EntryKind.RATIO_SUM_DIFF, p, "one", ctx2)
-
-    t0 = time.perf_counter()
-    params = {"p": p, "part": "per"}
-    if p > cap:
-        reports.append(_per_capped("conj8", params, p, cap, t0))
-    else:
-        v = per_ryser(matrix) % p
-        expected = (1 - legendre(-1, p)) % p
-        reports.append(CheckReport("conj8", params, str(v), f"{expected} (mod {p})",
-                                   _verdict(v, expected), _ms(t0)))
-
-    t0 = time.perf_counter()
+    expected = (1 - legendre(-1, p)) % p
+    yield "per", _per_part(p, cap, lambda: matrix, expected, f"{expected} (mod {p})", mod=p)
     v = det_mod(matrix)
     expected = -p * inv_mod(2, m2) % m2
-    reports.append(CheckReport("conj8", {"p": p, "part": "det"}, str(v),
-                               f"{expected} (mod {p}^2)", _verdict(v, expected), _ms(t0)))
-    return reports
+    yield "det", _outcome(v, f"{expected} (mod {p}^2)", v == expected)
 
 
-def _conj9(p: int, cap: int) -> list[CheckReport]:
-    reports = []
-    order = p - 1
+def _conj9(p: int, cap: int) -> Iterator[tuple[str, Outcome]]:
     ctx2 = ModCtx.prime_power(p, 2)
     m2 = ctx2.modulus
-    matrix = cauchy_type_matrix(EntryKind.RATIO_SUM_DIFF, order, "one", ctx2)
+    matrix = cauchy_type_matrix(EntryKind.RATIO_SUM_DIFF, p - 1, "one", ctx2)
     dfac_sq = double_factorial_mod(p - 2, ctx2) ** 2 % m2
-
-    t0 = time.perf_counter()
-    params = {"p": p, "part": "per"}
-    if order > cap:
-        reports.append(_per_capped("conj9", params, order, cap, t0))
-    else:
-        v = per_ryser(matrix)
-        reports.append(CheckReport("conj9", params, str(v), f"{dfac_sq} (mod {p}^2)",
-                                   _verdict(v, dfac_sq), _ms(t0)))
-
-    t0 = time.perf_counter()
+    yield "per", _per_part(p - 1, cap, lambda: matrix, dfac_sq, f"{dfac_sq} (mod {p}^2)")
     v = det_mod(matrix)
     sign = -1 if (p + 1) // 2 % 2 == 1 else 1
     expected = sign * inv_mod(p - 2, m2) * dfac_sq % m2
-    reports.append(CheckReport("conj9", {"p": p, "part": "det"}, str(v),
-                               f"{expected} (mod {p}^2)", _verdict(v, expected), _ms(t0)))
-    return reports
+    yield "det", _outcome(v, f"{expected} (mod {p}^2)", v == expected)
 
 
-def _conj10(p: int) -> CheckReport:
-    t0 = time.perf_counter()
-    params = {"p": p}
+def _conj10(p: int) -> Outcome:
     if p % 4 != 3 or p == 3:
-        return _na("conj10", params, "needs p = 3 (mod 4) and p > 3", t0)
-    ctx3 = ModCtx.prime_power(p, 3)
+        return _na("needs p = 3 (mod 4) and p > 3")
     order = (p - 1) // 2
-    matrix = cauchy_type_matrix(EntryKind.RATIO_SUM_SQUARES, order, "one", ctx3)
-    v = det_mod(matrix)
+    v = det_mod(cauchy_type_matrix(EntryKind.RATIO_SUM_SQUARES, order, "one",
+                                   ModCtx.prime_power(p, 3)))
     required = 3 if p % 8 == 7 else 2
-    ok = v % p**required == 0
-    return CheckReport("conj10", params, str(v), f"0 (mod {p}^{required})",
-                       PASS if ok else FAIL, _ms(t0))
+    return _outcome(v, f"0 (mod {p}^{required})", v % p**required == 0)
 
 
 # ---------------------------------------------------------------------------
 # the check registry: one entry per check id
 
 
-Runner = Callable[[dict, int | None], list[CheckReport]]
+Runner = Callable[[dict, int | None], Iterable[tuple[str | None, Outcome]]]
 
 
 @dataclass(frozen=True)
@@ -462,12 +339,13 @@ class CheckSpec:
     """One check id: the params of a cell, how to run a cell, and its sweep grid.
 
     params names a cell's params; a cell needs each of them except those in
-    optional.  run(params, cap) evaluates one cell, where cap overrides the
-    permanent size gate (None keeps the default).  grid(bounds) yields the
-    params of each sweep cell, with bounds.cmax and bounds.dmax defaulting to
-    cmax and dmax here; a sweep cannot go without the bound named by needs.
-    Runners call the checkers, which look the builders and engines up in this
-    module when they run.
+    optional.  run(params, cap) evaluates one cell and yields (part, Outcome)
+    pairs, part None for a one-part cell; cap overrides the permanent size
+    gate (None keeps the default).  grid(bounds) yields the params of each
+    sweep cell, with bounds.cmax and bounds.dmax defaulting to cmax and dmax
+    here; a sweep cannot go without the bound named by needs.  Runners call
+    the checkers, which look the builders and engines up in this module when
+    they run.
     """
 
     params: tuple[str, ...]
@@ -482,11 +360,11 @@ class CheckSpec:
         return [k for k in self.params if k not in self.optional and params.get(k) is None]
 
 
-def _one(checker: Callable[..., CheckReport]) -> Runner:
-    return lambda params, cap: [checker(**params)]
+def _one(checker: Callable[..., Outcome]) -> Runner:
+    return lambda params, cap: [(None, checker(**params))]
 
 
-def _gated(conj: Callable[[int, int], list[CheckReport]], k: int) -> Runner:
+def _gated(conj: Callable[[int, int], Iterator[tuple[str, Outcome]]], k: int) -> Runner:
     """Runner for conjecture k, whose permanent parts default to PER_ORDER_CAPS[k]."""
     return lambda params, cap: conj(params["p"], PER_ORDER_CAPS[k] if cap is None else cap)
 
@@ -563,14 +441,28 @@ def _spec(check_id: str) -> CheckSpec:
 
 
 def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> list[CheckReport]:
-    """Evaluate one check cell; conjecture checks may emit several part-reports."""
+    """Evaluate one check cell: one report per part, in the order the parts run.
+
+    This is the one place reports are made.  A report's params are the cell's
+    params that are not None, plus "part" for a multi-part cell; elapsed_ms is
+    the time spent producing that part's outcome, including any matrix built
+    for it (a matrix shared by two parts counts in the first).
+    """
     spec = _spec(check_id)
     missing = spec.missing(params)
     if missing:
         raise ValueError(f"{check_id} needs " + ", ".join(missing))
     if "p" in spec.params:  # every statement in p is about an odd prime p
         _require_odd_prime(params["p"])
-    return spec.run(params, per_order_cap)
+    cell = {k: params[k] for k in spec.params if params.get(k) is not None}
+    reports = []
+    t0 = time.perf_counter()
+    for part, (computed, expected, verdict) in spec.run(params, per_order_cap):
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        record = cell if part is None else {**cell, "part": part}
+        reports.append(CheckReport(check_id, record, computed, expected, verdict, elapsed_ms))
+        t0 = time.perf_counter()
+    return reports
 
 
 def sweep_cells(
@@ -584,7 +476,11 @@ def sweep_cells(
     variant: str | None = None,
     which: str | None = None,
 ) -> list[tuple[str, dict]]:
-    """Deterministic parameter grid for a sweep over one check id."""
+    """Deterministic parameter grid for a sweep over one check id.
+
+    A grid of more than MAX_CELLS cells raises ValueError; it is never built
+    in full.
+    """
     spec = _spec(check_id)
     bounds = SimpleNamespace(
         pmin=pmin, pmax=pmax, nmin=nmin, nmax=nmax, variant=variant, which=which,
@@ -595,7 +491,11 @@ def sweep_cells(
     for name in ("pmax", "nmax"):
         if (getattr(bounds, name) or 0) > MAX_ORDER:
             raise ValueError(f"{name} must be at most {MAX_ORDER} (the largest matrix order)")
-    return [(check_id, params) for params in spec.grid(bounds)]
+    grid = itertools.islice(spec.grid(bounds), MAX_CELLS + 1)
+    cells = [(check_id, params) for params in grid]
+    if len(cells) > MAX_CELLS:
+        raise ValueError(f"{check_id} sweep has more than {MAX_CELLS} cells; narrow its bounds")
+    return cells
 
 
 def _run_cell(cell: tuple[str, dict], per_order_cap: int | None = None) -> list[CheckReport]:

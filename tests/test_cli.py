@@ -215,6 +215,21 @@ def test_orders_beyond_max_order_are_refused_before_allocating(argv):
     assert "2048" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "p3", "--cmax", "20000", "--dmax", "20000"],
+    ["sweep", "reflection", "--pmax", "13", "--cmax", "5000", "--dmax", "5000"],
+])
+def test_grids_beyond_max_cells_are_refused_before_building(argv):
+    # built in full, either grid would outgrow a 1 GiB address space
+    proc = subprocess.run(
+        [sys.executable, "-m", "congruence_lab", *argv], capture_output=True, text=True,
+        timeout=30, preexec_fn=_no_more_than_1_gib,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"more than {verify.MAX_CELLS} cells" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -273,6 +288,16 @@ def test_check_missing_params(capsys):
     code, _, err = run(capsys, "check", "dp-theorem", "--p", "7")
     assert code == 2
     assert "--variant" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--variant", "c_minus1"], "variant c_minus1 needs a value for c"),
+    (["--variant", "two_two", "--c", "3"], "variant two_two takes no c"),
+])
+def test_check_dp_theorem_c_goes_with_c_minus1_only(capsys, argv, message):
+    code, out, err = run(capsys, "check", "dp-theorem", "--p", "7", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_check_non_prime_is_input_error(capsys):

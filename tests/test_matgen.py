@@ -1,6 +1,7 @@
 """Matrix builders: entry formulas, supports, file round-trips."""
 
 import io
+import random
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from conftest import make_matrix
 def test_quadform_exact_remark_matrix():
     m = quad_form_matrix(3, 1, 1, "full0", 1, None)
     assert m.entries.tolist() == [[0, 1, 4], [1, 3, 7], [4, 7, 12]]
-    assert m.exact
+    assert m.ctx is None
 
 
 def test_quadform_zero_coefficients_means_rank_one_rows():
@@ -67,6 +68,21 @@ def test_quadform_large_modulus_python_path():
     for re, rs, rb in zip(exact.entries.tolist(), small.entries.tolist(), big.entries.tolist()):
         assert [x % 10007 for x in re] == rs
         assert [x % (2**31 + 11) for x in re] == rb
+
+
+def test_quadform_int64_path_at_the_largest_order_and_modulus():
+    """The vectorised path stays exact at order MAX_ORDER with the widest int64 modulus."""
+    m = matgen.INT64_MODULUS_LIMIT - 1  # 2**31 - 1, a prime
+    c = d = m - 1
+    a = quad_form_matrix(matgen.MAX_ORDER + 1, c, d, "from1", 3, ModCtx(m))
+    assert a.n == matgen.MAX_ORDER and a.entries.dtype == np.int64
+    n = a.n
+    rng = random.Random(2048)
+    cells = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)]
+    cells += [(rng.randrange(n), rng.randrange(n)) for _ in range(500)]
+    for r, s in cells:
+        i, j = r + 1, s + 1  # the "from1" grid starts at index 1
+        assert a.entries[r, s] == pow((i * i + c * i * j + d * j * j) % m, 3, m)
 
 
 def test_quadform_rejects_bad_range():
@@ -201,7 +217,7 @@ def _support_ok(entries):
 def test_checkerboard_support(n, rng):
     m = random_checkerboard_matrix(n, rng.randrange(10**6))
     assert _support_ok(m.entries)
-    assert m.exact
+    assert m.ctx is None
 
 
 def test_checkerboard_is_seeded():

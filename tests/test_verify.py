@@ -1,12 +1,13 @@
 """Check layer: verdicts, gates, caps, sweeps, and frozen spot values."""
 
 import os
+import time
 
 import pytest
 
 from congruence_lab import verify
 from congruence_lab.detper import det_field
-from congruence_lab.matgen import inverse_form_matrix
+from congruence_lab.matgen import MAX_ORDER, inverse_form_matrix
 from congruence_lab.modnum import odd_primes_in
 from congruence_lab.oracle import matrix_permutation_sum
 from congruence_lab.verify import (
@@ -108,8 +109,14 @@ def test_vanishing_family_gates(params, needle):
 def test_vanishing_family_validation():
     with pytest.raises(ValueError):
         run_check("dp-theorem", {"p": 7, "variant": "one_one"})
-    with pytest.raises(ValueError):
-        run_check("dp-theorem", {"p": 7, "variant": "c_minus1"})  # missing c
+    with pytest.raises(ValueError, match="variant c_minus1 needs a value for c"):
+        run_check("dp-theorem", {"p": 7, "variant": "c_minus1"})
+    for variant in ("two_two", "six_six"):
+        with pytest.raises(ValueError, match=f"variant {variant} takes no c"):
+            run_check("dp-theorem", {"p": 7, "variant": variant, "c": 3})
+    # a c of None is no c at all, and is left out of the record
+    r = one("dp-theorem", {"p": 11, "variant": "two_two", "c": None})
+    assert r.params == {"p": 11, "variant": "two_two"}
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +296,52 @@ def test_conj10_gate_and_values():
     assert r.computed == "242"  # 2 * 11^2, and 11 = 3 (mod 8) only needs p^2
 
 
+PERMANENT_PARTS = {5: ("per",), 6: ("i",), 7: ("full", "half"), 8: ("per",), 9: ("per",)}
+
+
+@pytest.mark.parametrize("k", sorted(PERMANENT_PARTS))
+def test_permanent_gate_builds_and_runs_nothing(monkeypatch, k):
+    """Above the gate a permanent part is inconclusive before its matrix or kernel runs."""
+    check_id = f"conj{k}"
+    uncapped = by_part(run_check(check_id, {"p": 7}))
+    moduli = []
+    real_build = verify.cauchy_type_matrix
+
+    def recording_build(kind, size, diagonal, ctx):
+        moduli.append(ctx.modulus)
+        return real_build(kind, size, diagonal, ctx)
+
+    def refusing_kernel(matrix):
+        raise AssertionError("per_ryser ran above the gate")
+
+    monkeypatch.setattr(verify, "cauchy_type_matrix", recording_build)
+    monkeypatch.setattr(verify, "per_ryser", refusing_kernel)
+    capped = by_part(run_check(check_id, {"p": 7}, per_order_cap=1))
+    assert list(capped) == list(uncapped)
+    for part, r in capped.items():
+        if part in PERMANENT_PARTS[k]:
+            assert r.verdict == INCONCLUSIVE
+            assert r.computed == ""
+            assert "exceeds the size gate 1" in r.expected
+        else:
+            assert (r.computed, r.expected, r.verdict) == (
+                uncapped[part].computed, uncapped[part].expected, uncapped[part].verdict)
+    assert 7 not in moduli
+
+
+def test_elapsed_ms_covers_the_build_of_each_part(monkeypatch):
+    real_build = verify.cauchy_type_matrix
+
+    def slow_build(*args):
+        time.sleep(0.05)
+        return real_build(*args)
+
+    monkeypatch.setattr(verify, "cauchy_type_matrix", slow_build)
+    reports = run_check("conj7", {"p": 7})  # each part builds its own matrix
+    assert [r.params["part"] for r in reports] == ["full", "half"]
+    assert all(r.elapsed_ms >= 50 for r in reports)
+
+
 def test_conjecture_dispatch_validation():
     with pytest.raises(ValueError):
         run_check("conj11", {"p": 5})
@@ -356,6 +409,21 @@ def test_sweep_cells_required_bounds():
         sweep_cells("conj1", pmax=7)
     with pytest.raises(ValueError):
         sweep_cells("fermat", pmax=7)
+
+
+def test_default_sweep_grids_fit_under_max_cells():
+    sizes = {check_id: len(sweep_cells(check_id, pmax=MAX_ORDER, nmax=MAX_ORDER))
+             for check_id in CHECKS}
+    # the largest: conj1 over odd n to 2048, then reflection and column-relation
+    assert (sizes["conj1"], sizes["reflection"]) == (28616, 15092)
+    assert max(sizes.values()) <= verify.MAX_CELLS
+
+
+def test_sweep_cells_refuses_grids_over_max_cells():
+    assert verify.MAX_CELLS == 10**5
+    with pytest.raises(ValueError, match="p3 sweep has more than 100000 cells"):
+        sweep_cells("p3", cmax=5, dmax=4545)  # 11 * 9091 = 100001 cells
+    assert len(sweep_cells("p3", cmax=4, dmax=5555)) == 99999  # 9 * 11111
 
 
 def test_sweep_cells_empty_prime_range():
