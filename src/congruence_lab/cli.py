@@ -16,12 +16,7 @@ from . import detper, matgen, verify
 from .matgen import EntryKind, Matrix, NonUnitDenominator
 from .modnum import ModCtx, NonUnitError, is_prime
 
-CAUCHY_BY_NAME = {
-    "invdiff": EntryKind.INV_DIFF,
-    "ratiosumdiff": EntryKind.RATIO_SUM_DIFF,
-    "invdiffsquares": EntryKind.INV_DIFF_SQUARES,
-    "ratiosumsquares": EntryKind.RATIO_SUM_SQUARES,
-}
+CAUCHY_BY_NAME = {k.value: k for k in EntryKind}
 
 
 #: positional names of `check` and `sweep`; conj1..conj10 are `conj --id N`

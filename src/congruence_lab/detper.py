@@ -3,8 +3,9 @@
 Four independent routes are kept deliberately separate so they can cross-check
 one another: elimination over Z/m (any odd modulus; det_field is its name for
 primes), fraction-free exact elimination over Z (the reference, reducible mod
-anything), brute-force permutation sums (n <= 9), and the subset
-inclusion-exclusion kernel for permanents.  A checkerboard
+anything), brute-force permutation sums (n <= 9: one pass over a table of
+all n! permutations in itertools order, signed by inversion count), and the
+subset inclusion-exclusion kernel for permanents.  A checkerboard
 factorization engine reduces supported matrices to two half-size problems.
 """
 
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from .matgen import Matrix, checkerboard_support, entry_dtype
+from .matgen import Matrix, checkerboard_support
 from .modnum import ModCtx, is_prime
 
 #: the largest permanent order per_ryser takes (2**27 row-sum updates)
@@ -40,32 +41,22 @@ class SupportViolation(ValueError):
         self.cells = cells
 
 
-def _require_ctx(matrix: Matrix, ctx: ModCtx | None) -> ModCtx | None:
-    if ctx is None:
-        return matrix.ctx
-    if matrix.ctx is not None and matrix.ctx.modulus != ctx.modulus:
-        raise ValueError(
-            f"matrix is mod {matrix.ctx.modulus} but ctx is mod {ctx.modulus}"
-        )
-    return ctx
-
-
 # ---------------------------------------------------------------------------
 # determinants
 
 
-def det_mod(matrix: Matrix, ctx: ModCtx | None = None) -> int:
+def det_mod(matrix: Matrix) -> int:
     """Determinant mod any odd modulus m, by elimination over Z/m.
 
-    Needs no factorisation of m.  Works on a copy of the entries in the Matrix
-    dtype for this modulus: int64 below 2**31 (products stay below 2**62),
-    exact Python ints otherwise.  Returns 0 as soon as the running det is 0.
+    Needs no factorisation of m.  Works on a copy of the entries, which are
+    canonical residues in the Matrix dtype for this modulus: int64 below 2**31
+    (products stay below 2**62), exact Python ints otherwise.  Returns 0 as
+    soon as the running det is 0.
     """
-    ctx = _require_ctx(matrix, ctx)
-    if ctx is None:
+    if matrix.ctx is None:
         raise ValueError("det_mod needs a modulus context")
-    m = ctx.modulus
-    a = (matrix.entries % m).astype(entry_dtype(ctx), copy=False)
+    m = matrix.ctx.modulus
+    a = matrix.entries.copy()
     n = matrix.n
     det = 1
     for k in range(n):
@@ -110,15 +101,14 @@ def _pivot_row(a: np.ndarray, k: int, m: int) -> int | None:
         a[rest, k:] = (a[rest, k:] - q[:, None] * a[r, k:]) % m
 
 
-def det_field(matrix: Matrix, ctx: ModCtx | None = None) -> int:
+def det_field(matrix: Matrix) -> int:
     """Determinant mod a prime: det_mod restricted to prime moduli.
 
     Raises ValueError unless is_prime proves the modulus prime.
     """
-    ctx = _require_ctx(matrix, ctx)
-    if ctx is None or not is_prime(ctx.modulus):
+    if matrix.ctx is None or not is_prime(matrix.ctx.modulus):
         raise ValueError("det_field needs a prime modulus context")
-    return det_mod(matrix, ctx)
+    return det_mod(matrix)
 
 
 def det_exact(matrix: Matrix, reduce_ctx: ModCtx | None = None) -> int:
@@ -155,28 +145,6 @@ def det_exact(matrix: Matrix, reduce_ctx: ModCtx | None = None) -> int:
 # brute force over all n! permutations (the small-n oracle engines)
 
 
-def _heaps_signed_permutations(n: int):
-    """Yield (perm, sign) over all of S_n; each step is a single transposition."""
-    perm = list(range(n))
-    sign = 1
-    yield perm, sign
-    c = [0] * n
-    i = 0
-    while i < n:
-        if c[i] < i:
-            if i % 2 == 0:
-                perm[0], perm[i] = perm[i], perm[0]
-            else:
-                perm[c[i]], perm[i] = perm[i], perm[c[i]]
-            sign = -sign
-            yield perm, sign
-            c[i] += 1
-            i = 0
-        else:
-            c[i] = 0
-            i += 1
-
-
 _PERM_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -199,29 +167,13 @@ def _naive_sum(matrix: Matrix, signed: bool) -> int:
             f"naive engines stop at n = {NAIVE_LIMIT} ({math.factorial(NAIVE_LIMIT)} "
             f"permutations); got n = {n}"
         )
-    m = None if matrix.ctx is None else matrix.ctx.modulus
-    max_abs = int(abs(matrix.entries).max())
-    # int64 fast path: every permutation product (and their sum) must fit.
-    if max_abs > 0:
-        prod_bound = max_abs**n
-        if prod_bound * math.factorial(n) < _INT64_SAFE:
-            perms, signs = _perm_table(n)
-            a = matrix.entries.astype(np.int64)
-            prods = a[np.arange(n)[None, :], perms].prod(axis=1)
-            total = int((prods * signs).sum()) if signed else int(prods.sum())
-            return total % m if m is not None else total
-    total = 0
-    rows = matrix.entries.tolist()
-    for perm, sign in _heaps_signed_permutations(n):
-        prod = 1
-        for i in range(n):
-            prod *= rows[i][perm[i]]
-            if prod == 0:
-                break
-        if m is not None:
-            prod %= m
-        total += sign * prod if signed else prod
-    return total % m if m is not None else total
+    perms, signs = _perm_table(n)
+    # int64 when every permutation product (and their sum) fits, Python ints otherwise
+    fits = int(abs(matrix.entries).max()) ** n * math.factorial(n) < _INT64_SAFE
+    a = matrix.entries.astype(np.int64 if fits else object)
+    prods = a[np.arange(n)[None, :], perms].prod(axis=1)
+    total = int((prods * signs).sum()) if signed else int(prods.sum())
+    return total if matrix.ctx is None else total % matrix.ctx.modulus
 
 
 def det_naive(matrix: Matrix) -> int:
@@ -238,7 +190,7 @@ def per_naive(matrix: Matrix) -> int:
 # permanent via subset inclusion-exclusion
 
 
-def per_ryser(matrix: Matrix, ctx: ModCtx | None = None) -> int:
+def per_ryser(matrix: Matrix) -> int:
     """Permanent by inclusion-exclusion over 2**(n-1) column subsets.
 
     Iterates subsets S of the first n-1 columns in Gray-code order from the
@@ -248,16 +200,14 @@ def per_ryser(matrix: Matrix, ctx: ModCtx | None = None) -> int:
     the end (exactly in exact mode, via inv(2) for odd moduli).  Orders above
     RYSER_CAP raise OrderTooLarge.
     """
-    ctx = _require_ctx(matrix, ctx)
     n = matrix.n
     if n > RYSER_CAP:
         raise OrderTooLarge(
             f"permanent of order {n} exceeds the cap {RYSER_CAP} "
             f"(would need 2**{n - 1} = {2 ** (n - 1)} row-sum updates)"
         )
-    m = None if ctx is None else ctx.modulus
-    rows = (matrix.entries if m is None else matrix.entries % m).tolist()
-    total = _ryser_sum(rows, n, m)
+    m = None if matrix.ctx is None else matrix.ctx.modulus
+    total = _ryser_sum(matrix.entries.tolist(), n, m)
     if m is None:
         quotient, remainder = divmod(total, 1 << (n - 1))
         if remainder:
@@ -333,10 +283,6 @@ def _half_det(half: Matrix) -> int:
     return det_exact(half) if half.ctx is None else det_mod(half)
 
 
-def _half_per(half: Matrix) -> int:
-    return per_ryser(half)
-
-
 def factor_checkerboard(matrix: Matrix, mode: str) -> int:
     """det or per of a checkerboard-supported matrix via its two half blocks.
 
@@ -367,7 +313,7 @@ def factor_checkerboard(matrix: Matrix, mode: str) -> int:
         c = _submatrix(matrix, a[2::2, 1::2], "oddeven")
         scale = a11
     if mode == "per":
-        value = scale * _half_per(b) * _half_per(c)
+        value = scale * per_ryser(b) * per_ryser(c)
     else:
         value = scale * _half_det(b) * _half_det(c)
         if m % 2 == 1:

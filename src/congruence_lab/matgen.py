@@ -11,6 +11,7 @@ Python ints in an object array.  Engines read that array directly.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -18,27 +19,16 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .modnum import ModCtx, NonUnitError, is_prime
+from .modnum import ModCtx, is_prime
 
 
 class EntryKind(enum.Enum):
-    QUAD_FORM_POW = "quadform"
+    """Cauchy-style off-diagonal terms 1/(j-k), (j+k)/(j-k), ..."""
+
     INV_DIFF = "invdiff"
     RATIO_SUM_DIFF = "ratiosumdiff"
     INV_DIFF_SQUARES = "invdiffsquares"
     RATIO_SUM_SQUARES = "ratiosumsquares"
-    PRIME_INDICATOR = "primeind"
-
-
-#: kinds usable as off-diagonal Cauchy-style terms 1/(j-k), (j+k)/(j-k), ...
-CAUCHY_KINDS = frozenset(
-    {
-        EntryKind.INV_DIFF,
-        EntryKind.RATIO_SUM_DIFF,
-        EntryKind.INV_DIFF_SQUARES,
-        EntryKind.RATIO_SUM_SQUARES,
-    }
-)
 
 
 class NonUnitDenominator(ValueError):
@@ -61,6 +51,9 @@ INT64_MODULUS_LIMIT = 2**31
 
 #: the largest order any builder makes; larger requests are refused before allocating
 MAX_ORDER = 2048
+
+#: the most bits exact-mode quad_form_matrix entries may take, estimated before building
+MAX_EXACT_BITS = 2**29
 
 
 def _check_order(n: int, what: str = "order") -> None:
@@ -166,6 +159,14 @@ def quad_form_matrix(
     _check_order(n)
     indices = list(range(start, p_or_n))
 
+    if ctx is None:
+        bits = n * n * exponent * ((1 + abs(c) + abs(d)) * (p_or_n - 1) ** 2).bit_length()
+        if bits > MAX_EXACT_BITS:
+            raise ValueError(
+                f"exact entries would take about {bits} bits, more than {MAX_EXACT_BITS}; "
+                f"give a modulus"
+            )
+
     mod_tag = "Z" if ctx is None else str(ctx.modulus)
     prov = f"quadform(base={p_or_n},c={c},d={d},range={index_range},exp={exponent},mod={mod_tag})"
     if entry_dtype(ctx) == np.int64:
@@ -174,13 +175,53 @@ def quad_form_matrix(
         sq = idx * idx % m
         base = (sq[:, None] + (c % m) * np.outer(idx, idx) + (d % m) * sq[None, :]) % m
         return Matrix(n, _pow_mod_array(base, exponent, m), ctx, prov)
-    if ctx is None:
-        rows = [[(i * i + c * i * j + d * j * j) ** exponent for j in indices] for i in indices]
-    else:
-        m = ctx.modulus
-        rows = [[pow((i * i + c * i * j + d * j * j) % m, exponent, m) for j in indices]
-                for i in indices]
+    m = None if ctx is None else ctx.modulus
+    rows = [[pow(i * i + c * i * j + d * j * j, exponent, m) for j in indices] for i in indices]
     return Matrix(n, rows, ctx, prov)
+
+
+def _ratio_matrix(num: np.ndarray | None, den: np.ndarray, ctx: ModCtx, prov: str) -> Matrix:
+    """Matrix [num / den mod m] for an int64 grid den of exact denominators.
+
+    num is None for all ones, or an int64 grid of the same shape below 2**31
+    in absolute value, so that its int64 products with residues fit.  Each
+    distinct denominator is inverted once, into a table indexed by
+    den - den.min() (or by den mod m, when that leaves fewer slots).  The
+    first non-unit cell in row-major order raises NonUnitDenominator (1-based
+    row and column).
+    """
+    m = ctx.modulus
+    lo = int(den.min())
+    if int(den.max()) - lo < m:
+        key = den - lo
+    else:
+        key, lo = den % m, 0
+    present = np.flatnonzero(np.bincount(key.ravel()))
+    table = np.zeros(int(present[-1]) + 1, dtype=entry_dtype(ctx))
+    inverses = [_inv_or_zero(v + lo, m) for v in present.tolist()]
+    table[present] = inverses
+    cells = table[key]
+    if 0 in inverses:  # 0 is never an inverse, so it marks the non-units
+        j, k = divmod(int(np.argmax(cells == 0)), len(den))
+        bad = int(den[j, k])
+        raise NonUnitDenominator(j + 1, k + 1, bad, m, math.gcd(bad, m))
+    return Matrix(len(den), cells if num is None else num * cells % m, ctx, prov)
+
+
+def _inv_or_zero(x: int, m: int) -> int:
+    try:
+        return pow(x, -1, m)
+    except ValueError:
+        return 0
+
+
+#: (numerator, denominator) of each Cauchy-style term at (j, k)
+_CAUCHY_TERMS = {
+    EntryKind.INV_DIFF: lambda j, k: (1, j - k),
+    EntryKind.RATIO_SUM_DIFF: lambda j, k: (j + k, j - k),
+    EntryKind.INV_DIFF_SQUARES: lambda j, k: (1, j * j - k * k),
+    EntryKind.RATIO_SUM_SQUARES: lambda j, k: (j * j + k * k, j * j - k * k),
+}
 
 
 def cauchy_type_matrix(kind: EntryKind, size: int, diagonal: str, ctx: ModCtx) -> Matrix:
@@ -189,43 +230,20 @@ def cauchy_type_matrix(kind: EntryKind, size: int, diagonal: str, ctx: ModCtx) -
     diagonal is "zero" or "one".  Index sets larger than the denominators can
     support (e.g. 1..p for a difference kind mod p) raise NonUnitDenominator.
     """
-    if kind not in CAUCHY_KINDS:
+    if kind not in _CAUCHY_TERMS:
         raise ValueError(f"{kind} is not a Cauchy-style entry kind")
     if diagonal not in ("zero", "one"):
         raise ValueError(f"diagonal must be 'zero' or 'one', got {diagonal!r}")
     _check_order(size, "size")
     if ctx is None:
         raise ValueError("cauchy-style kinds need a modulus context (entries are inverses)")
-    diag = 0 if diagonal == "zero" else 1
-    inv_cache: dict[int, int] = {}
-    m = ctx.modulus
-
-    def inv_of(den: int, j: int, k: int) -> int:
-        r = den % m
-        if r not in inv_cache:
-            try:
-                inv_cache[r] = ctx.inv(r)
-            except NonUnitError as e:
-                raise NonUnitDenominator(j, k, den, m, e.gcd) from None
-        return inv_cache[r]
-
-    rows = []
-    for j in range(1, size + 1):
-        row = []
-        for k in range(1, size + 1):
-            if j == k:
-                row.append(diag)
-            elif kind is EntryKind.INV_DIFF:
-                row.append(inv_of(j - k, j, k))
-            elif kind is EntryKind.RATIO_SUM_DIFF:
-                row.append((j + k) * inv_of(j - k, j, k) % m)
-            elif kind is EntryKind.INV_DIFF_SQUARES:
-                row.append(inv_of(j * j - k * k, j, k))
-            else:  # RATIO_SUM_SQUARES
-                row.append((j * j + k * k) * inv_of(j * j - k * k, j, k) % m)
-        rows.append(row)
-    prov = f"cauchy(kind={kind.value},size={size},diag={diagonal},mod={m})"
-    return Matrix(size, rows, ctx, prov)
+    j = np.arange(1, size + 1, dtype=np.int64)[:, None]
+    num, den = _CAUCHY_TERMS[kind](j, j.T)
+    num = np.broadcast_to(num, den.shape).copy()
+    np.fill_diagonal(num, 0 if diagonal == "zero" else 1)
+    np.fill_diagonal(den, 1)
+    prov = f"cauchy(kind={kind.value},size={size},diag={diagonal},mod={ctx.modulus})"
+    return _ratio_matrix(num, den, ctx, prov)
 
 
 def inverse_form_matrix(p: int, which: str) -> Matrix:
@@ -252,19 +270,9 @@ def inverse_form_matrix(p: int, which: str) -> Matrix:
     else:
         raise ValueError(f"which must be 'half_range_sq' or 'full_range_ij', got {which!r}")
     _check_order(size)
-    ctx = ModCtx.prime(p)
-    # inverse table mod p: inv[i] for 1 <= i < p, built in O(p)
-    inv = [0, 1] + [0] * (p - 2)
-    for i in range(2, p):
-        inv[i] = -(p // i) * inv[p % i] % p
     idx = np.arange(1, size + 1, dtype=np.int64)
     den = (idx[:, None] ** 2 + cross * np.outer(idx, idx) + idx[None, :] ** 2) % p
-    zeros = np.argwhere(den == 0)
-    if len(zeros):
-        i, j = zeros[0].tolist()
-        raise NonUnitDenominator(i + 1, j + 1, 0, p, p)
-    prov = f"invform(p={p},which={which})"
-    return Matrix(size, np.array(inv, dtype=np.int64)[den], ctx, prov)
+    return _ratio_matrix(None, den, ModCtx.prime(p), f"invform(p={p},which={which})")
 
 
 def prime_indicator_matrix(n: int) -> Matrix:

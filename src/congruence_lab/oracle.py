@@ -1,9 +1,9 @@
 """Brute-force permutation sums: the independent route every engine is checked against.
 
 This module deliberately reimplements the term formulas and uses its own
-permutation enumeration (lexicographic with incremental parity, vs Heap's in
-the naive engines) so that agreement between the two routes actually means
-something.
+permutation enumeration (lexicographic with incremental parity, vs a table in
+itertools order signed by inversion count in the naive engines) so that
+agreement between the two routes actually means something.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .matgen import CAUCHY_KINDS, EntryKind, Matrix, NonUnitDenominator, cauchy_type_matrix
+from .matgen import EntryKind, Matrix, NonUnitDenominator, cauchy_type_matrix
 from .modnum import ModCtx, NonUnitError
 
 ORACLE_LIMIT = 9
@@ -40,7 +40,7 @@ class OracleSpec:
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.product_rule not in (PRODUCT_ALL, PRODUCT_SKIP_FIXED):
             raise ValueError(f"unknown product rule {self.product_rule!r}")
-        if self.term not in CAUCHY_KINDS:
+        if not isinstance(self.term, EntryKind):
             raise ValueError(f"term must be a Cauchy-style entry kind, got {self.term}")
 
 
@@ -146,18 +146,6 @@ def matrix_permutation_sum(
             prod %= m
         total += sign * prod if signed else prod
     return total % m if m is not None else total
-
-
-def subfactorial(n: int) -> int:
-    """Number of derangements of n (for counting cross-checks)."""
-    if n == 0:
-        return 1
-    if n == 1:
-        return 0
-    a, b = 1, 0  # D(0), D(1)
-    for k in range(2, n + 1):
-        a, b = b, (k - 1) * (a + b)
-    return b
 
 
 def reduction_check(spec: OracleSpec) -> bool:

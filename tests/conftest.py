@@ -26,6 +26,18 @@ def lift(matrix):
     return Matrix(matrix.n, matrix.entries, None, matrix.provenance + "-lift")
 
 
+def subfactorial(n):
+    """Number of derangements of n (for counting cross-checks)."""
+    if n == 0:
+        return 1
+    if n == 1:
+        return 0
+    a, b = 1, 0  # D(0), D(1)
+    for k in range(2, n + 1):
+        a, b = b, (k - 1) * (a + b)
+    return b
+
+
 def is_perfect_square(x):
     """True iff x = y*y for some integer y (exact integer sqrt + final check)."""
     if x < 0:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from congruence_lab import cli, verify
+from congruence_lab import cli, matgen, verify
 from congruence_lab.modnum import legendre
 
 
@@ -228,6 +228,22 @@ def test_grids_beyond_max_cells_are_refused_before_building(argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert f"more than {verify.MAX_CELLS} cells" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "1000"],
+    ["--p", "5", "--exp", "1000000000"],
+])
+def test_exact_quadform_too_large_is_refused_before_building(argv):
+    # either grid of exact powers would outgrow a 1 GiB address space
+    proc = subprocess.run(
+        [sys.executable, "-m", "congruence_lab", "build", "quadform", "--c", "1", "--d", "1",
+         "--exact", *argv], capture_output=True, text=True, timeout=30,
+        preexec_fn=_no_more_than_1_gib,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(matgen.MAX_EXACT_BITS) in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from congruence_lab.matgen import (
     read_matrix,
     write_matrix,
 )
-from congruence_lab.modnum import ModCtx, is_prime
+from congruence_lab.modnum import ModCtx, is_prime, odd_primes_in
+from congruence_lab.oracle import _term_value
 
 from conftest import make_matrix
 
@@ -143,9 +144,53 @@ def test_cauchy_needs_ctx_and_valid_kind():
     with pytest.raises(ValueError):
         cauchy_type_matrix(EntryKind.INV_DIFF, 3, "zero", None)
     with pytest.raises(ValueError):
-        cauchy_type_matrix(EntryKind.QUAD_FORM_POW, 3, "zero", ModCtx.prime(7))
+        cauchy_type_matrix("quadform", 3, "zero", ModCtx.prime(7))
     with pytest.raises(ValueError):
         cauchy_type_matrix(EntryKind.INV_DIFF, 3, "two", ModCtx.prime(7))
+
+
+def _built_or_error(build):
+    """Entries as nested lists, or the NonUnitDenominator the build raised, as a tuple."""
+    try:
+        return build().entries.tolist()
+    except NonUnitDenominator as e:
+        return (str(e), e.row, e.col, e.denominator, e.modulus, e.gcd)
+
+
+def _oracle_cauchy(kind, size, diagonal, ctx):
+    # row-major, so the first error is the first non-unit cell
+    cache = {}
+    diag = 0 if diagonal == "zero" else 1
+    return [[diag if j == k else _term_value(kind, j, k, ctx, cache)
+             for k in range(1, size + 1)] for j in range(1, size + 1)]
+
+
+def _cauchy_sizes(m):
+    for p in (7, 79):
+        if m in (p, p**2, p**3, p**5):
+            # 1..(p-1)/2 always builds; squares kinds already fail on 1..p-1
+            return [(p - 1) // 2, p - 1, p, p + 1]
+    return [1, 2, 3, 4, 8, 40]
+
+
+@pytest.mark.parametrize("m", [7, 7**2, 7**3, 7**5, 79, 79**2, 79**3, 79**5,
+                               225, 1155, 2**61 - 1])
+@pytest.mark.parametrize("diagonal", ["zero", "one"])
+@pytest.mark.parametrize("kind", list(EntryKind))
+def test_cauchy_matches_oracle_term_formula(kind, diagonal, m):
+    # the oracle inverts each term on its own; the builder inverts a table of
+    # distinct denominators, so entries and the first non-unit cell must agree
+    ctx = ModCtx(m)
+    sizes = _cauchy_sizes(m)
+    for size in sizes:
+        got = _built_or_error(lambda: cauchy_type_matrix(kind, size, diagonal, ctx))
+        want = _built_or_error(lambda: Matrix(size, _oracle_cauchy(kind, size, diagonal, ctx),
+                                              ctx, "oracle"))
+        assert got == want, (kind, diagonal, m, size)
+    # the smallest size always builds: object storage holds Python ints
+    entries = cauchy_type_matrix(kind, sizes[0], diagonal, ctx).entries
+    assert entries.dtype == (object if m >= 2**31 else np.int64)
+    assert all(type(x) is int for x in entries.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +226,24 @@ def test_inverse_form_raises_outside_residue_class():
         inverse_form_matrix(9, "half_range_sq")
     with pytest.raises(ValueError):
         inverse_form_matrix(7, "everything")
+
+
+@pytest.mark.parametrize("which", ["half_range_sq", "full_range_ij"])
+def test_inverse_form_matches_fermat_inverse(which):
+    # every odd prime to 101, both inside and outside the residue class
+    cross = 0 if which == "half_range_sq" else -1
+    for p in odd_primes_in(3, 101):
+        size = (p - 1) // 2 if which == "half_range_sq" else p - 1
+        dens = [[(i * i + cross * i * j + j * j) % p for j in range(1, size + 1)]
+                for i in range(1, size + 1)]
+        zeros = [(i + 1, j + 1) for i, row in enumerate(dens) for j, x in enumerate(row) if x == 0]
+        if zeros:
+            i, j = zeros[0]
+            want = (f"denominator 0 at (j={i}, k={j}) is not a unit mod {p} (gcd = {p})",
+                    i, j, 0, p, p)
+        else:
+            want = [[pow(x, p - 2, p) for x in row] for row in dens]
+        assert _built_or_error(lambda: inverse_form_matrix(p, which)) == want, p
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ from congruence_lab.oracle import (
     permutation_sum,
     reduction_check,
     signed_permutations,
-    subfactorial,
 )
 
-from conftest import lift, make_matrix
+from conftest import lift, make_matrix, subfactorial
 
 
 def inversion_sign(perm):
