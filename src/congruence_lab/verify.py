@@ -23,6 +23,7 @@ from .matgen import (
     MAX_ORDER,
     EntryKind,
     Matrix,
+    _check_order,
     cauchy_type_matrix,
     inverse_form_matrix,
     quad_form_matrix,
@@ -80,9 +81,29 @@ def _require_odd_prime(p: int) -> None:
 
 
 def units_grid_det(p: int, c: int, d: int) -> int:
-    """det of the quadratic-form power matrix over indices 1..p-1, mod p."""
-    matrix = quad_form_matrix(p, c, d, "from1", p - 2, ModCtx.prime(p))
-    return det_field(matrix)
+    """D_p(c, d) = det[(i^2 + c*i*j + d*j^2)^(p-2)] over 1 <= i, j <= p-1, mod p, in O(p).
+
+    With g(t) = (1 + c*t + d*t^2)^(p-2), entry (i, j) is i^-2 * g(j/i), and on
+    the units g(t) = sum_k b_k t^k, where b_k sums the coefficients of g over
+    the exponents = k (mod p-1).  So the matrix is diag(i^-2)[i^-k]diag(b)[j^k],
+    whose Vandermonde signs cancel at every odd p: D_p = prod b_k (mod p)
+    (Krattenthaler, "Advanced determinant calculus", Sem. Lothar. Combin. 42, 1999).
+    By Frobenius g = (1 + c*t^p + d*t^2p) / f^2 with f = 1 + c*t + d*t^2, and
+    1/f^2 follows a 4-term recurrence because f(0) = 1; no matrix is built.
+    """
+    _require_odd_prime(p)
+    _check_order(p - 1)
+    c, d = c % p, d % p
+    a1, a2, a3, a4 = 2 * c, c * c + 2 * d, 2 * c * d, d * d  # f^2 = 1 + a1*t + ... + a4*t^4
+    h = [0, 0, 0, 1]  # coefficients of 1/f^2 from t^-3 on, so h_n is h[n + 3]
+    for _ in range(2 * p - 3):  # to t^(2p-3), one past the degree of g, where the fold reads 0
+        h.append(-(a1 * h[-1] + a2 * h[-2] + a3 * h[-3] + a4 * h[-4]) % p)
+    det = 1
+    for k in range(p - 1):  # b_k = g_k + g_(k+p-1), with g_n = h_n + c*h_(n-p)
+        det = det * (h[k + 3] + h[k + p + 2] + c * h[k + 2]) % p
+        if det == 0:
+            break
+    return det
 
 
 #: what a checker found: (computed, expected, verdict)

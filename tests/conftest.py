@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from congruence_lab.matgen import Matrix
+from congruence_lab.detper import det_field
+from congruence_lab.matgen import Matrix, quad_form_matrix
 from congruence_lab.modnum import ModCtx, inv_mod, is_prime
 
 
@@ -51,6 +52,12 @@ def harmonic2_mod(p):
     if not is_prime(p) or p == 2:
         raise ValueError(f"needs an odd prime, got {p}")
     return sum(inv_mod(i, p) ** 2 for i in range(1, p)) % p
+
+
+def units_grid_det_by_elimination(p, c, d):
+    """D_p(c, d) by building the order-(p-1) units-grid matrix and eliminating mod p."""
+    matrix = quad_form_matrix(p, c, d, "from1", p - 2, ModCtx.prime(p))
+    return det_field(matrix)
 
 
 SMALL_PRIMES = (3, 5, 7, 11, 13)

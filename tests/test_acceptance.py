@@ -26,6 +26,7 @@ from congruence_lab.detper import (
     per_ryser,
 )
 from congruence_lab.matgen import (
+    MAX_ORDER,
     EntryKind,
     Matrix,
     poly_eval_matrix,
@@ -293,6 +294,15 @@ def test_criterion_10_oracle_anchoring():
            f"({elapsed:.1f}s, budget 60s)")
 
 
+#: the verdict each conj2-4 cell must get, as criterion 11 states it
+CONJ2_TO_4_RULES = {
+    "conj2": lambda r: (PASS if r.params["p"] % 4 == 1 and r.params["p"] % 5 in (2, 3)
+                        else NOT_APPLICABLE),
+    "conj3": lambda r: PASS,
+    "conj4": lambda r: PASS if r.params["p"] % 5 in (2, 3) else NOT_APPLICABLE,
+}
+
+
 def test_criterion_11_conjecture_confirmations():
     t0 = time.perf_counter()
     mismatches = []
@@ -308,12 +318,8 @@ def test_criterion_11_conjecture_confirmations():
 
     expect(run_sweep(sweep_cells("conj1", nmin=5, nmax=45)),
            lambda r: PASS if jacobi(r.params["d"], r.params["n"]) == -1 else NOT_APPLICABLE)
-    expect(run_sweep(sweep_cells("conj2", pmax=499)),
-           lambda r: PASS if r.params["p"] % 4 == 1 and r.params["p"] % 5 in (2, 3)
-           else NOT_APPLICABLE)
-    expect(run_sweep(sweep_cells("conj3", pmax=499)), lambda r: PASS)
-    expect(run_sweep(sweep_cells("conj4", pmax=499)),
-           lambda r: PASS if r.params["p"] % 5 in (2, 3) else NOT_APPLICABLE)
+    for check_id, rule in CONJ2_TO_4_RULES.items():
+        expect(run_sweep(sweep_cells(check_id, pmax=499)), rule)
     expect(run_sweep(sweep_cells("conj5", pmin=5, pmax=13)), lambda r: PASS)
     expect(run_sweep(sweep_cells("conj6", pmin=5, pmax=13)), lambda r: PASS)
     expect(run_sweep(sweep_cells("conj7", pmin=5, pmax=17)),
@@ -333,6 +339,15 @@ def test_criterion_11_conjecture_confirmations():
     report(11, ok,
            f"ten conjectured congruences confirmed on their stated ranges, "
            f"{len(mismatches)} mismatches ({elapsed:.1f}s, budget 900s)")
+
+
+def test_conj2_to_4_hold_to_max_order():
+    # the units-grid det builds no matrix, so conj2-4 reach the largest order a sweep allows
+    mismatches = [(check_id, r.params, r.verdict)
+                  for check_id, rule in CONJ2_TO_4_RULES.items()
+                  for r in run_sweep(sweep_cells(check_id, pmax=MAX_ORDER))
+                  if r.verdict != rule(r)]
+    assert mismatches == []
 
 
 def test_criterion_12_engine_cross_agreement():

@@ -202,6 +202,7 @@ def _no_more_than_1_gib():
     ["check", "conj", "--id", "3", "--p", "20011"],
     ["sweep", "conj", "--id", "3", "--pmax", "20011"],
     ["sweep", "conj", "--id", "1", "--nmax", "4099"],
+    ["check", "reflection", "--p", "2053", "--c", "1", "--d", "2"],
 ])
 def test_orders_beyond_max_order_are_refused_before_allocating(argv):
     # an order-20010 matrix would take about 3 GiB; under a 1 GiB address-space

@@ -1,6 +1,7 @@
 """Check layer: verdicts, gates, caps, sweeps, and frozen spot values."""
 
 import os
+import random
 import time
 
 import pytest
@@ -24,6 +25,8 @@ from congruence_lab.verify import (
     sweep_cells,
     units_grid_det,
 )
+
+from conftest import units_grid_det_by_elimination
 
 
 def one(check_id, params, **kw):
@@ -117,6 +120,86 @@ def test_vanishing_family_validation():
     # a c of None is no c at all, and is left out of the record
     r = one("dp-theorem", {"p": 11, "variant": "two_two", "c": None})
     assert r.params == {"p": 11, "variant": "two_two"}
+
+
+# ---------------------------------------------------------------------------
+# the units-grid det D_p(c, d): coefficient sums against elimination
+
+
+def _units_grid_cases():
+    rng = random.Random(0xD9)
+    for p in odd_primes_in(3, 31):  # every (c, d) residue pair
+        yield from ((p, c, d) for c in range(p) for d in range(p))
+    for p in odd_primes_in(37, 199):
+        # conj4's (3, 1), the dp-theorem pairs (whose (c, -1) take in conj2's (1, -1)
+        # and conj3's (2, -1)), and a seeded sample
+        pairs = [(3, 1), (2, 2), (6, 6), *((c, -1) for c in range(11))]
+        pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(2)]
+        yield from ((p, c, d) for c, d in pairs)
+    big = 10**30
+    for p in (3, 5, 7, 37, 101, 199):
+        u = rng.randrange(1, p)
+        yield p, 0, 0  # f = 1
+        yield p, u, 0  # f linear
+        yield p, 0, u
+        yield p, 2 * u, u * u  # c^2 = 4d: f a square
+        yield p, -u, -3 * u
+        yield p, -big - u, big + 7
+        yield p, big + 1, -big
+
+
+def test_units_grid_det_matches_elimination():
+    cases = list(_units_grid_cases())
+    mismatches = [(p, c, d) for p, c, d in cases
+                  if units_grid_det(p, c, d) != units_grid_det_by_elimination(p, c, d)]
+    assert len(cases) == 3354 + 35 * 16 + 6 * 7
+    assert mismatches == []
+
+
+def test_units_grid_det_uses_only_the_residues_of_c_and_d():
+    # c and d enter only as c % p and d % p, so a huge c or d costs nothing more
+    class ResidueOnly(int):
+        def __mod__(self, m):
+            return int(self) % m
+
+    def refuse(*args):
+        raise AssertionError("arithmetic on c or d before reducing it mod p")
+
+    for op in ("add", "radd", "sub", "rsub", "mul", "rmul", "neg", "pow", "rpow"):
+        setattr(ResidueOnly, f"__{op}__", refuse)
+    for p, c, d in ((3, 10**30 + 1, -(10**30)), (37, -(10**30) - 5, 10**30 + 11)):
+        got = units_grid_det(p, ResidueOnly(c), ResidueOnly(d))
+        assert got == units_grid_det_by_elimination(p, c, d)
+
+
+def test_units_grid_det_refuses_a_non_prime_p_and_a_large_order():
+    with pytest.raises(ValueError, match="odd prime"):
+        units_grid_det(9, 1, 1)
+    with pytest.raises(ValueError, match=f"order must be in 1..{MAX_ORDER}, got 20010"):
+        units_grid_det(20011, 2, -1)
+
+
+def test_units_grid_checks_build_no_matrix(monkeypatch):
+    cells = [("conj2", {"p": 53}), ("conj3", {"p": 53}), ("conj4", {"p": 53}),
+             ("reflection", {"p": 53, "c": 2, "d": 3}),
+             ("dp-theorem", {"p": 47, "variant": "c_minus1", "c": 4}),
+             ("dp-theorem", {"p": 47, "variant": "two_two"}),
+             ("dp-theorem", {"p": 47, "variant": "six_six"})]
+
+    def records():
+        return [{**r.as_record(), "elapsed_ms": None} for r in run_sweep(cells)]
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "units_grid_det", units_grid_det_by_elimination)
+        by_elimination = records()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a units-grid check built a matrix")
+
+    monkeypatch.setattr(verify, "quad_form_matrix", refuse)
+    monkeypatch.setattr(verify, "det_field", refuse)
+    assert records() == by_elimination
+    assert {r["verdict"] for r in by_elimination} == {PASS}
 
 
 # ---------------------------------------------------------------------------
