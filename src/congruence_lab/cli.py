@@ -13,8 +13,8 @@ import sys
 from typing import IO, Iterable
 
 from . import detper, matgen, verify
-from .matgen import EntryKind, Matrix, NonUnitDenominator
-from .modnum import ModCtx, NonUnitError, is_prime
+from .matgen import EntryKind, Matrix
+from .modnum import ModCtx, is_prime
 
 CAUCHY_BY_NAME = {k.value: k for k in EntryKind}
 
@@ -134,7 +134,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             matrix = matgen.poly_eval_matrix(coeffs, args.n)
         else:  # pragma: no cover - argparse restricts choices
             raise InputError(f"unknown builder {kind!r}")
-    except (ValueError, NonUnitError) as e:
+    except ValueError as e:
         raise InputError(str(e)) from None
     _write_matrix(matrix, args.out)
     return 0
@@ -224,7 +224,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise InputError(f"{check_id} needs --" + ", --".join(missing))
     try:
         reports = verify.run_check(check_id, params, per_order_cap=args.per_order_cap)
-    except (ValueError, NonUnitDenominator) as e:
+    except ValueError as e:
         raise InputError(str(e)) from None
     emit_reports(reports, args.format, sys.stdout)
     return verify.exit_code(reports)
@@ -244,7 +244,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             which=args.which,
         )
         reports = verify.run_sweep(cells, jobs=args.jobs, per_order_cap=args.per_order_cap)
-    except (ValueError, NonUnitDenominator) as e:
+    except ValueError as e:
         raise InputError(str(e)) from None
     emit_reports(reports, args.format, sys.stdout)
     return verify.exit_code(reports)

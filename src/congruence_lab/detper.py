@@ -4,15 +4,17 @@ Four independent routes are kept deliberately separate so they can cross-check
 one another: elimination over Z/m (any odd modulus; det_field is its name for
 primes), fraction-free exact elimination over Z (the reference, reducible mod
 anything), brute-force permutation sums (n <= 9: one pass over a table of
-all n! permutations in itertools order, signed by inversion count), and the
-subset inclusion-exclusion kernel for permanents.  A checkerboard
-factorization engine reduces supported matrices to two half-size problems.
+all n! permutations in itertools order, signed by inversion count), and
+Ryser's subset inclusion-exclusion for permanents (one Gray-code walk over Z,
+reduced mod m only after its exact division).  A checkerboard factorization
+engine reduces supported matrices to two half-size problems.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -191,14 +193,14 @@ def per_naive(matrix: Matrix) -> int:
 
 
 def per_ryser(matrix: Matrix) -> int:
-    """Permanent by inclusion-exclusion over 2**(n-1) column subsets.
+    """Permanent by Ryser's inclusion-exclusion over 2**(n-1) column subsets.
 
-    Iterates subsets S of the first n-1 columns in Gray-code order from the
-    empty set, keeping a running vector of row sums r (one column
-    add/subtract per step), and accumulates (-1)**(n-|S|) * prod_i (2*r_i - t_i)
-    where t is the full row sum vector; the total is divided by 2**(n-1) at
-    the end (exactly in exact mode, via inv(2) for odd moduli).  Orders above
-    RYSER_CAP raise OrderTooLarge.
+    One exact walk over Z (_ryser_sum) runs on the entries as integers, which
+    for a modular matrix are the canonical lifts of its residues, and returns
+    2**(n-1) times the permanent.  The one finish divides that exactly, checks
+    the remainder, and reduces mod m if the matrix has a modulus: the
+    permanent is an integer polynomial in the entries, so per(lift) mod m is
+    the permanent over Z/m.  Orders above RYSER_CAP raise OrderTooLarge.
     """
     n = matrix.n
     if n > RYSER_CAP:
@@ -206,63 +208,29 @@ def per_ryser(matrix: Matrix) -> int:
             f"permanent of order {n} exceeds the cap {RYSER_CAP} "
             f"(would need 2**{n - 1} = {2 ** (n - 1)} row-sum updates)"
         )
-    m = None if matrix.ctx is None else matrix.ctx.modulus
-    total = _ryser_sum(matrix.entries.tolist(), n, m)
-    if m is None:
-        quotient, remainder = divmod(total, 1 << (n - 1))
-        if remainder:
-            raise ArithmeticError(
-                f"inclusion-exclusion sum {total} is not divisible by 2**{n - 1}"
-            )
-        return quotient
-    inv2 = (m + 1) // 2
-    return total * pow(inv2, n - 1, m) % m
+    total = _ryser_sum(matrix.entries.tolist(), n)
+    quotient, remainder = divmod(total, 1 << (n - 1))
+    if remainder:
+        raise ArithmeticError(f"inclusion-exclusion sum {total} is not divisible by 2**{n - 1}")
+    return quotient if matrix.ctx is None else quotient % matrix.ctx.modulus
 
 
-def _ryser_sum(rows: list[list[int]], n: int, m: int | None) -> int:
-    """The signed sum over all 2**(n-1) subsets, reduced mod m if given."""
-    t = [sum(row) for row in rows]
-    if m is not None:
-        t = [x % m for x in t]
-    r = [0] * n
-    mask = 0
-    sign = -1 if n & 1 else 1
-    indices = range(n)
-    span = 1 << (n - 1)
-    total = 0
-    k = 0
-    while True:
-        prod = 1
-        if m is None:
-            for i in indices:
-                prod *= 2 * r[i] - t[i]
-                if prod == 0:
-                    break
-        else:
-            for i in indices:
-                prod = prod * (2 * r[i] - t[i]) % m
-        total += sign * prod
-        k += 1
-        if k == span:
-            break
+def _ryser_sum(rows: list[list[int]], n: int) -> int:
+    """Sum of (-1)**(n-|S|) * prod_i (2*r_i - t_i) over subsets S of the first n-1 columns.
+
+    r holds the row sums over S and t the full row sums.  S runs in Gray-code
+    order from the empty set: step k moves column j, the lowest set bit of k,
+    into S (out of it when bit j+1 of k is set), so s = 2r - t moves by twice
+    that column and |S| has the parity of k.
+    """
+    s = [-sum(row) for row in rows]
+    steps = [[2 * a for a in col] for col in zip(*rows)]
+    total = math.prod(s)
+    for k in range(1, 1 << (n - 1)):
         j = (k & -k).bit_length() - 1
-        bit = 1 << j
-        mask ^= bit
-        sign = -sign
-        if m is None:
-            if mask & bit:
-                for i in indices:
-                    r[i] += rows[i][j]
-            else:
-                for i in indices:
-                    r[i] -= rows[i][j]
-        elif mask & bit:
-            for i in indices:
-                r[i] = (r[i] + rows[i][j]) % m
-        else:
-            for i in indices:
-                r[i] = (r[i] - rows[i][j]) % m
-    return total % m if m is not None else total
+        s = list(map(operator.sub if k >> (j + 1) & 1 else operator.add, s, steps[j]))
+        total += -math.prod(s) if k & 1 else math.prod(s)
+    return -total if n & 1 else total
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from congruence_lab.detper import (
 from congruence_lab.matgen import Matrix, prime_indicator_matrix
 from congruence_lab.modnum import ModCtx, is_prime
 
-from conftest import is_perfect_square, lift, make_matrix
+from conftest import is_perfect_square, lift, make_matrix, subfactorial
 
 REMARK = Matrix(3, ((0, 1, 4), (1, 3, 7), (4, 7, 12)), None, "remark")
 
@@ -202,6 +202,54 @@ def test_ryser_exact_division_check_raises(monkeypatch):
     monkeypatch.setattr(detper, "_ryser_sum", lambda *args: 1)
     with pytest.raises(ArithmeticError, match="not divisible by 2\\*\\*2"):
         per_ryser(exact([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+    # a modular matrix takes the same exact division before its reduction
+    with pytest.raises(ArithmeticError, match="not divisible by 2\\*\\*2"):
+        per_ryser(modular([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 9))
+
+
+# ---------------------------------------------------------------------------
+# Ryser above the naive engines' reach (n > NAIVE_LIMIT)
+
+BEYOND_NAIVE = range(10, 19)
+
+
+@pytest.mark.parametrize("n", BEYOND_NAIVE)
+def test_per_ryser_closed_forms(n):
+    ones = [[1] * n for _ in range(n)]
+    assert per_ryser(exact(ones)) == math.factorial(n)
+    derangements = [[int(i != j) for j in range(n)] for i in range(n)]
+    assert per_ryser(exact(derangements)) == subfactorial(n)
+    # (m-1)*J = -J over Z/m, at the int64 storage boundary and past it
+    for m in (2**31 - 1, 2**61 - 1):
+        assert per_ryser(modular([[-1] * n] * n, m)) == (-1) ** n * math.factorial(n) % m
+
+
+def _checkerboard_rows(n, rng, m=None):
+    support = matgen.checkerboard_support(n)
+    draw = (lambda: rng.randint(-9, 9)) if m is None else (lambda: rng.randrange(m))
+    return [[draw() if support[i, j] else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", BEYOND_NAIVE)
+@pytest.mark.parametrize("m", [None, 2**61 - 1])
+def test_per_ryser_matches_naive_on_checkerboard_halves(n, m, rng):
+    # per(A) = scale * per(B) * per(C) on the half blocks, each of order <= 9,
+    # so the expected value comes from per_naive alone
+    rows = _checkerboard_rows(n, rng, m)
+    ctx = None if m is None else ModCtx(m)
+    if n % 2 == 0:
+        b = [r[0::2] for r in rows[1::2]]
+        c = [r[1::2] for r in rows[0::2]]
+        scale = 1
+    else:
+        b = [r[2::2] for r in rows[1::2]]
+        c = [r[1::2] for r in rows[2::2]]
+        scale = rows[0][0]
+    halves = [per_naive(Matrix(len(h), h, ctx, "half")) for h in (b, c)]
+    expected = scale * halves[0] * halves[1]
+    if m is not None:
+        expected %= m
+    assert per_ryser(Matrix(n, rows, ctx, "checkerboard")) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +348,8 @@ def test_prime_indicator_det_is_square():
 
 
 def test_per_ryser_modular_inverse_halving(rng):
-    # the modular route multiplies by inv(2)^(n-1); cross-check against exact
+    # the modular route halves exactly over Z before reducing mod 81; cross-check
+    # against the exact naive sum
     ctx = ModCtx(81)
     for _ in range(10):
         m = make_matrix(5, rng, ctx=ctx)
