@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 from . import detper, matgen, verify
 from .matgen import EntryKind, Matrix
@@ -74,33 +74,60 @@ def emit_reports(reports: Iterable[verify.CheckReport], fmt: str, out: IO[str]) 
 def _load_matrix(path: str) -> Matrix:
     try:
         if path == "-":
-            return matgen.read_matrix(sys.stdin, provenance="stdin")
+            return matgen.read_matrix(sys.stdin)
         with open(path) as fh:
-            return matgen.read_matrix(fh, provenance=f"file:{path}")
+            return matgen.read_matrix(fh)
     except (OSError, ValueError) as e:
         raise InputError(f"cannot read matrix from {path}: {e}") from None
 
 
-def _write_matrix(matrix: Matrix, path: str | None) -> None:
-    if path is None or path == "-":
-        matgen.write_matrix(matrix, sys.stdout)
-    else:
-        with open(path, "w") as fh:
-            matgen.write_matrix(matrix, fh)
+# ---------------------------------------------------------------------------
+# builders and engines, by the name the command line gives them
 
 
-def _ctx_for_flags(mod: int | None, exact: bool, default_mod: int | None) -> ModCtx | None:
-    if exact and mod is not None:
+def _build_quadform(args: argparse.Namespace) -> Matrix:
+    if args.exact and args.mod is not None:
         raise InputError("--mod and --exact are mutually exclusive")
-    if exact:
-        return None
-    m = mod if mod is not None else default_mod
-    if m is None:
-        raise InputError("either --mod or --exact is required here")
+    ctx = None if args.exact else ModCtx(args.p if args.mod is None else args.mod)
+    exponent = args.exp if args.exp is not None else args.p - 2
+    return matgen.quad_form_matrix(args.p, args.c, args.d, args.range, exponent, ctx)
+
+
+def _build_cauchy(args: argparse.Namespace) -> Matrix:
+    ctx = ModCtx(args.mod)
+    size = {"p-1": args.p - 1, "p": args.p, "half": (args.p - 1) // 2}[args.set]
+    return matgen.cauchy_type_matrix(CAUCHY_BY_NAME[args.cauchy_kind], size, args.diag, ctx)
+
+
+def _build_polyeval(args: argparse.Namespace) -> Matrix:
     try:
-        return ModCtx(m)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+        coeffs = json.loads(args.coeffs)
+    except json.JSONDecodeError as e:
+        raise InputError(f"--coeffs must be a JSON list of lists: {e}") from None
+    return matgen.poly_eval_matrix(coeffs, args.n)
+
+
+#: det engines by --engine name, in the order --help lists them
+DET_ENGINES: dict[str, Callable[[Matrix], int]] = {
+    "field": detper.det_field,
+    "ring": detper.det_mod,
+    "bareiss": lambda m: detper.det_exact(m, reduce_ctx=m.ctx),
+    "naive": detper.det_naive,
+    "checkerboard": lambda m: detper.factor_checkerboard(m, "det"),
+}
+
+#: per engines by --engine name, in the order --help lists them
+PER_ENGINES: dict[str, Callable[[Matrix], int]] = {
+    "ryser": detper.per_ryser,
+    "naive": detper.per_naive,
+    "checkerboard": lambda m: detper.factor_checkerboard(m, "per"),
+}
+
+
+def _det_fallback(matrix: Matrix) -> str:
+    if matrix.ctx is None:
+        return "bareiss"
+    return "field" if is_prime(matrix.ctx.modulus) else "ring"
 
 
 # ---------------------------------------------------------------------------
@@ -108,96 +135,40 @@ def _ctx_for_flags(mod: int | None, exact: bool, default_mod: int | None) -> Mod
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    kind = args.kind
     try:
-        if kind == "quadform":
-            ctx = _ctx_for_flags(args.mod, args.exact, args.p)
-            exponent = args.exp if args.exp is not None else args.p - 2
-            matrix = matgen.quad_form_matrix(args.p, args.c, args.d, args.range, exponent, ctx)
-        elif kind == "cauchy":
-            ctx = _ctx_for_flags(args.mod, False, None)
-            size = {"p-1": args.p - 1, "p": args.p, "half": (args.p - 1) // 2}[args.set]
-            matrix = matgen.cauchy_type_matrix(CAUCHY_BY_NAME[args.cauchy_kind], size, args.diag, ctx)
-        elif kind == "invform":
-            matrix = matgen.inverse_form_matrix(args.p, args.which)
-        elif kind == "primeind":
-            matrix = matgen.prime_indicator_matrix(args.n)
-        elif kind == "checkerboard":
-            matrix = matgen.random_checkerboard_matrix(args.n, args.seed, symmetric=args.symmetric)
-        elif kind == "skewcheckerboard":
-            matrix = matgen.random_skew_checkerboard_matrix(args.m, args.seed)
-        elif kind == "polyeval":
-            try:
-                coeffs = json.loads(args.coeffs)
-            except json.JSONDecodeError as e:
-                raise InputError(f"--coeffs must be a JSON list of lists: {e}") from None
-            matrix = matgen.poly_eval_matrix(coeffs, args.n)
-        else:  # pragma: no cover - argparse restricts choices
-            raise InputError(f"unknown builder {kind!r}")
+        matrix = args.build(args)
     except ValueError as e:
         raise InputError(str(e)) from None
-    _write_matrix(matrix, args.out)
+    if args.out is None or args.out == "-":
+        matgen.write_matrix(matrix, sys.stdout)
+    else:
+        with open(args.out, "w") as fh:
+            matgen.write_matrix(matrix, fh)
     return 0
 
 
 def _resolve_input(args: argparse.Namespace) -> Matrix:
+    """The matrix file, reduced mod --mod if it is exact; a bad --mod raises ValueError."""
     matrix = _load_matrix(args.matrix)
-    if args.mod is not None:
-        if matrix.ctx is not None:
-            if matrix.ctx.modulus != args.mod:
-                raise InputError(
-                    f"matrix is mod {matrix.ctx.modulus}; --mod {args.mod} conflicts"
-                )
-            return matrix
-        try:
-            ctx = ModCtx(args.mod)
-        except ValueError as e:
-            raise InputError(str(e)) from None
-        return Matrix(matrix.n, matrix.entries % args.mod, ctx,
-                      matrix.provenance + f"|mod{args.mod}")
-    return matrix
+    if args.mod is None:
+        return matrix
+    if matrix.ctx is not None:
+        if matrix.ctx.modulus != args.mod:
+            raise InputError(f"matrix is mod {matrix.ctx.modulus}; --mod {args.mod} conflicts")
+        return matrix
+    ctx = ModCtx(args.mod)  # first: reducing by a --mod of 0 would divide by zero
+    return Matrix(matrix.entries % ctx.modulus, ctx)
 
 
-def cmd_det(args: argparse.Namespace) -> int:
-    matrix = _resolve_input(args)
+def cmd_engine(args: argparse.Namespace) -> int:
+    """det or per by the named engine; auto takes checkerboard where the support allows it."""
     engine = args.engine
     try:
+        matrix = _resolve_input(args)
         if engine == "auto":
-            if not detper.checkerboard_violations(matrix):
-                engine = "checkerboard"
-            elif matrix.ctx is None:
-                engine = "bareiss"
-            else:
-                engine = "field" if is_prime(matrix.ctx.modulus) else "ring"
-        if engine == "field":
-            value = detper.det_field(matrix)
-        elif engine == "ring":
-            value = detper.det_mod(matrix)
-        elif engine == "bareiss":
-            value = detper.det_exact(matrix, reduce_ctx=matrix.ctx)
-        elif engine == "naive":
-            value = detper.det_naive(matrix)
-        else:
-            value = detper.factor_checkerboard(matrix, "det")
-    except (ValueError, ArithmeticError) as e:
-        raise InputError(str(e)) from None
-    print(value)
-    print(f"engine: {engine}", file=sys.stderr)
-    return 0
-
-
-def cmd_per(args: argparse.Namespace) -> int:
-    matrix = _resolve_input(args)
-    engine = args.engine
-    if engine == "auto":
-        engine = "checkerboard" if not detper.checkerboard_violations(matrix) else "ryser"
-    try:
-        if engine == "ryser":
-            value = detper.per_ryser(matrix)
-        elif engine == "naive":
-            value = detper.per_naive(matrix)
-        else:
-            value = detper.factor_checkerboard(matrix, "per")
+            supported = not detper.checkerboard_violations(matrix)
+            engine = "checkerboard" if supported else args.fallback(matrix)
+        value = args.engines[engine](matrix)
     except (ValueError, ArithmeticError) as e:
         raise InputError(str(e)) from None
     print(value)
@@ -272,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     bq.add_argument("--exp", type=int, default=None, help="exponent (default: p-2)")
     bq.add_argument("--mod", type=int, default=None, help="modulus (default: p)")
     bq.add_argument("--exact", action="store_true", help="exact integer entries")
-    bq.add_argument("--out", default=None)
+    bq.set_defaults(build=_build_quadform)
 
     bc = bsub.add_parser("cauchy", help="difference/ratio matrices over indices 1..size")
     bc.add_argument("--kind", dest="cauchy_kind", choices=sorted(CAUCHY_BY_NAME), required=True)
@@ -281,46 +252,46 @@ def build_parser() -> argparse.ArgumentParser:
                     help="index set: 1..p-1, 1..p, or 1..(p-1)/2")
     bc.add_argument("--diag", choices=("zero", "one"), required=True)
     bc.add_argument("--mod", type=int, required=True)
-    bc.add_argument("--out", default=None)
+    bc.set_defaults(build=_build_cauchy)
 
     bi = bsub.add_parser("invform", help="inverse quadratic-form matrices mod p")
     bi.add_argument("--p", type=int, required=True)
     bi.add_argument("--which", choices=verify.INVERSE_FORM_WHICH, required=True)
-    bi.add_argument("--out", default=None)
+    bi.set_defaults(build=lambda a: matgen.inverse_form_matrix(a.p, a.which))
 
     bp = bsub.add_parser("primeind", help="0/1 matrix with 1 where i+j is prime")
     bp.add_argument("--n", type=int, required=True)
-    bp.add_argument("--out", default=None)
+    bp.set_defaults(build=lambda a: matgen.prime_indicator_matrix(a.n))
 
     bcb = bsub.add_parser("checkerboard", help="random checkerboard-supported integer matrix")
     bcb.add_argument("--n", type=int, required=True)
     bcb.add_argument("--seed", type=int, required=True)
     bcb.add_argument("--symmetric", action="store_true")
-    bcb.add_argument("--out", default=None)
+    bcb.set_defaults(build=lambda a: matgen.random_checkerboard_matrix(a.n, a.seed, a.symmetric))
 
     bsk = bsub.add_parser("skewcheckerboard", help="random skew checkerboard matrix of order 2m")
     bsk.add_argument("--m", type=int, required=True)
     bsk.add_argument("--seed", type=int, required=True)
-    bsk.add_argument("--out", default=None)
+    bsk.set_defaults(build=lambda a: matgen.random_skew_checkerboard_matrix(a.m, a.seed))
 
     bpe = bsub.add_parser("polyeval", help="[P(i, j)] for a low-degree integer polynomial")
     bpe.add_argument("--n", type=int, required=True)
     bpe.add_argument("--coeffs", required=True,
                      help="JSON list of lists: coeffs[k][l] multiplies x^k * j^l")
-    bpe.add_argument("--out", default=None)
+    bpe.set_defaults(build=_build_polyeval)
+
+    for builder in bsub.choices.values():
+        builder.add_argument("--out", default=None)
 
     d = sub.add_parser("det", help="determinant of a matrix file ('-' for stdin)")
-    d.add_argument("matrix")
-    d.add_argument("--mod", type=int, default=None, help="reduce an exact matrix mod this")
-    d.add_argument("--engine", choices=("auto", "field", "ring", "bareiss", "naive", "checkerboard"),
-                   default="auto")
-    d.set_defaults(handler=cmd_det)
-
+    d.set_defaults(engines=DET_ENGINES, fallback=_det_fallback)
     q = sub.add_parser("per", help="permanent of a matrix file ('-' for stdin)")
-    q.add_argument("matrix")
-    q.add_argument("--mod", type=int, default=None, help="reduce an exact matrix mod this")
-    q.add_argument("--engine", choices=("auto", "ryser", "naive", "checkerboard"), default="auto")
-    q.set_defaults(handler=cmd_per)
+    q.set_defaults(engines=PER_ENGINES, fallback=lambda matrix: "ryser")
+    for cmd in (d, q):
+        cmd.add_argument("matrix")
+        cmd.add_argument("--mod", type=int, default=None, help="reduce an exact matrix mod this")
+        cmd.add_argument("--engine", choices=("auto", *cmd.get_default("engines")), default="auto")
+        cmd.set_defaults(handler=cmd_engine)
 
     c = sub.add_parser("check", help="run a single check")
     c.add_argument("--p", type=int, default=None)

@@ -243,10 +243,6 @@ def checkerboard_violations(matrix: Matrix) -> list[tuple[int, int]]:
     return [(i + 1, j + 1) for i, j in np.argwhere(off_support).tolist()]
 
 
-def _submatrix(matrix: Matrix, block: np.ndarray, tag: str) -> Matrix:
-    return Matrix(len(block), block, matrix.ctx, f"{matrix.provenance}|{tag}")
-
-
 def _half_det(half: Matrix) -> int:
     return det_exact(half) if half.ctx is None else det_mod(half)
 
@@ -272,13 +268,11 @@ def factor_checkerboard(matrix: Matrix, mode: str) -> int:
     if n % 2 == 0:
         m = n // 2
         # 0-based: even 1-based rows -> 1,3,..;  odd 1-based cols -> 0,2,..
-        b = _submatrix(matrix, a[1::2, 0::2], "evenodd")
-        c = _submatrix(matrix, a[0::2, 1::2], "oddeven")
+        b, c = Matrix(a[1::2, 0::2], matrix.ctx), Matrix(a[0::2, 1::2], matrix.ctx)
         scale = 1
     else:
         m = (n - 1) // 2
-        b = _submatrix(matrix, a[1::2, 2::2], "evenodd")
-        c = _submatrix(matrix, a[2::2, 1::2], "oddeven")
+        b, c = Matrix(a[1::2, 2::2], matrix.ctx), Matrix(a[2::2, 1::2], matrix.ctx)
         scale = a11
     if mode == "per":
         value = scale * per_ryser(b) * per_ryser(c)

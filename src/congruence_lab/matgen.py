@@ -1,11 +1,12 @@
 """Builders for the structured matrix families the workbench studies.
 
-Every builder returns an immutable Matrix whose provenance string is enough to
-rebuild it bit-for-bit.  Its entries are stored once, as a read-only 2-D
-ndarray.  With a ModCtx they are canonical residues: int64 when the modulus is
-below 2**31 (a product of two residues fits in int64), Python ints in an
-object array otherwise.  Without one (ctx=None, "exact mode") they are exact
-Python ints in an object array.  Engines read that array directly.
+Every builder returns an immutable Matrix, which is its entries and its
+modulus context and nothing else; its order is the number of rows.  The
+entries are stored once, as a read-only square ndarray.  With a ModCtx they
+are canonical residues: int64 when the modulus is below 2**31 (a product of
+two residues fits in int64), Python ints in an object array otherwise.
+Without one (ctx=None, "exact mode") they are exact Python ints in an object
+array.  Engines read that array directly.
 """
 
 from __future__ import annotations
@@ -70,21 +71,23 @@ def entry_dtype(ctx: ModCtx | None) -> np.dtype:
 
 @dataclass(frozen=True, eq=False)
 class Matrix:
-    """Square matrix with optional modulus context and rebuildable provenance.
+    """Square matrix with an optional modulus context.
 
-    entries may be given as any n x n nested sequence or array; it is stored
-    as one read-only 2-D ndarray of dtype entry_dtype(ctx).  Object arrays
-    hold plain Python ints.  Equality is identity: compare entries explicitly.
+    entries may be given as any n x n nested sequence or array with n >= 1; it
+    is stored as one read-only 2-D ndarray of dtype entry_dtype(ctx).  Object
+    arrays hold plain Python ints.  Equality is identity: compare entries
+    explicitly.
     """
 
-    n: int
     entries: np.ndarray
     ctx: ModCtx | None
-    provenance: str
+
+    @property
+    def n(self) -> int:
+        """The order: the number of rows of entries."""
+        return len(self.entries)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"order must be >= 1, got {self.n}")
         dtype = entry_dtype(self.ctx)
         wide = dtype == object
         # int64 storage infers the dtype first: a direct cast would truncate floats
@@ -92,8 +95,10 @@ class Matrix:
             a = np.array(self.entries, dtype=object if wide else None)
         except (TypeError, ValueError, OverflowError):
             raise ValueError("entries are not an n x n grid of integers") from None
-        if a.shape != (self.n, self.n):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries are not an n x n grid")
+        if not len(a):
+            raise ValueError("order must be >= 1, got 0")
         if wide:
             try:
                 a = np.frompyfunc(operator.index, 1, 1)(a)
@@ -167,20 +172,18 @@ def quad_form_matrix(
                 f"give a modulus"
             )
 
-    mod_tag = "Z" if ctx is None else str(ctx.modulus)
-    prov = f"quadform(base={p_or_n},c={c},d={d},range={index_range},exp={exponent},mod={mod_tag})"
     if entry_dtype(ctx) == np.int64:
         m = ctx.modulus
         idx = np.array(indices, dtype=np.int64)
         sq = idx * idx % m
         base = (sq[:, None] + (c % m) * np.outer(idx, idx) + (d % m) * sq[None, :]) % m
-        return Matrix(n, _pow_mod_array(base, exponent, m), ctx, prov)
+        return Matrix(_pow_mod_array(base, exponent, m), ctx)
     m = None if ctx is None else ctx.modulus
     rows = [[pow(i * i + c * i * j + d * j * j, exponent, m) for j in indices] for i in indices]
-    return Matrix(n, rows, ctx, prov)
+    return Matrix(rows, ctx)
 
 
-def _ratio_matrix(num: np.ndarray | None, den: np.ndarray, ctx: ModCtx, prov: str) -> Matrix:
+def _ratio_matrix(num: np.ndarray | None, den: np.ndarray, ctx: ModCtx) -> Matrix:
     """Matrix [num / den mod m] for an int64 grid den of exact denominators.
 
     num is None for all ones, or an int64 grid of the same shape below 2**31
@@ -205,7 +208,7 @@ def _ratio_matrix(num: np.ndarray | None, den: np.ndarray, ctx: ModCtx, prov: st
         j, k = divmod(int(np.argmax(cells == 0)), len(den))
         bad = int(den[j, k])
         raise NonUnitDenominator(j + 1, k + 1, bad, m, math.gcd(bad, m))
-    return Matrix(len(den), cells if num is None else num * cells % m, ctx, prov)
+    return Matrix(cells if num is None else num * cells % m, ctx)
 
 
 def _inv_or_zero(x: int, m: int) -> int:
@@ -242,8 +245,7 @@ def cauchy_type_matrix(kind: EntryKind, size: int, diagonal: str, ctx: ModCtx) -
     num = np.broadcast_to(num, den.shape).copy()
     np.fill_diagonal(num, 0 if diagonal == "zero" else 1)
     np.fill_diagonal(den, 1)
-    prov = f"cauchy(kind={kind.value},size={size},diag={diagonal},mod={ctx.modulus})"
-    return _ratio_matrix(num, den, ctx, prov)
+    return _ratio_matrix(num, den, ctx)
 
 
 def inverse_form_matrix(p: int, which: str) -> Matrix:
@@ -272,7 +274,7 @@ def inverse_form_matrix(p: int, which: str) -> Matrix:
     _check_order(size)
     idx = np.arange(1, size + 1, dtype=np.int64)
     den = (idx[:, None] ** 2 + cross * np.outer(idx, idx) + idx[None, :] ** 2) % p
-    return _ratio_matrix(None, den, ModCtx.prime(p), f"invform(p={p},which={which})")
+    return _ratio_matrix(None, den, ModCtx.prime(p))
 
 
 def prime_indicator_matrix(n: int) -> Matrix:
@@ -280,7 +282,7 @@ def prime_indicator_matrix(n: int) -> Matrix:
     _check_order(n)
     prime = [is_prime(s) for s in range(2 * n + 1)]
     rows = [[1 if prime[i + j] else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return Matrix(n, rows, None, f"primeind(n={n})")
+    return Matrix(rows, None)
 
 
 def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Matrix:
@@ -301,8 +303,7 @@ def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Ma
                 rows[i][j] = rows[j][i]
             else:
                 rows[i][j] = rng.randint(-9, 9)
-    prov = f"checkerboard(n={n},seed={seed},symmetric={symmetric})"
-    return Matrix(n, rows, None, prov)
+    return Matrix(rows, None)
 
 
 def random_skew_checkerboard_matrix(m: int, seed: int) -> Matrix:
@@ -319,8 +320,7 @@ def random_skew_checkerboard_matrix(m: int, seed: int) -> Matrix:
             v = rng.randint(-9, 9)
             rows[i][j] = v
             rows[j][i] = -v
-    prov = f"skewcheckerboard(m={m},seed={seed})"
-    return Matrix(n, rows, None, prov)
+    return Matrix(rows, None)
 
 
 def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
@@ -354,8 +354,7 @@ def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
         return total
 
     rows = [[value(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    prov = f"polyeval(n={n},coeffs={coeffs!r})"
-    return Matrix(n, rows, None, prov)
+    return Matrix(rows, None)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +369,7 @@ def write_matrix(matrix: Matrix, fh: IO[str]) -> None:
         fh.write(" ".join(str(x) for x in row) + "\n")
 
 
-def read_matrix(fh: IO[str], provenance: str = "file") -> Matrix:
+def read_matrix(fh: IO[str]) -> Matrix:
     header = fh.readline().split()
     if len(header) != 2:
         raise ValueError("header must be 'n m'")
@@ -385,4 +384,4 @@ def read_matrix(fh: IO[str], provenance: str = "file") -> Matrix:
         if len(parts) != n:
             raise ValueError(f"row {i + 1}: expected {n} entries, got {len(parts)}")
         rows.append([int(x) for x in parts])
-    return Matrix(n, rows, ctx, provenance)
+    return Matrix(rows, ctx)

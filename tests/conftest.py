@@ -13,18 +13,18 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-def make_matrix(n, rng, *, ctx=None, lo=-9, hi=9, provenance="test"):
+def make_matrix(n, rng, *, ctx=None, lo=-9, hi=9):
     """Random dense matrix; entries canonical mod ctx.modulus when ctx is given."""
     if ctx is None:
         rows = tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
     else:
         rows = tuple(tuple(rng.randrange(ctx.modulus) for _ in range(n)) for _ in range(n))
-    return Matrix(n, rows, ctx, provenance)
+    return Matrix(rows, ctx)
 
 
 def lift(matrix):
     """The same entries viewed as plain integers (exact mode)."""
-    return Matrix(matrix.n, matrix.entries, None, matrix.provenance + "-lift")
+    return Matrix(matrix.entries, None)
 
 
 def subfactorial(n):

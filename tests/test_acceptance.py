@@ -65,7 +65,7 @@ def report(num, ok, detail):
 
 def exact(rows):
     rows = tuple(tuple(r) for r in rows)
-    return Matrix(len(rows), rows, None, "acceptance")
+    return Matrix(rows, None)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def test_criterion_12_engine_cross_agreement():
         else:
             mod = moduli[case % len(moduli)]
             ctx = ModCtx(mod)
-            reduced = Matrix(n, base.entries % mod, ctx, "acceptance")
+            reduced = Matrix(base.entries % mod, ctx)
             d = det_naive(lift(reduced)) % mod
             p = per_naive(lift(reduced)) % mod
             if det_exact(lift(reduced), reduce_ctx=ctx) != d:

@@ -248,6 +248,140 @@ def test_exact_quadform_too_large_is_refused_before_building(argv):
 
 
 # ---------------------------------------------------------------------------
+# pinned output: exact stdout, stderr and exit code of each builder and engine
+
+
+#: matrix files, named by the second word of a det/per command in PINNED
+PINNED_FILES = {
+    "exact": "3 0\n0 1 4\n1 3 7\n4 7 12\n",
+    "prime": "3 7\n1 2 3\n4 5 6\n0 1 5\n",
+    "composite": "3 9\n2 4 0\n1 3 7\n5 8 6\n",
+    "board": "6 0\n-2 9 0 8 0 -5\n2 0 6 0 9 0\n"
+             "0 -7 0 -9 0 6\n-1 0 8 0 -2 0\n0 -3 0 6 0 8\n8 0 6 0 3 0\n",
+    "oddboard": "5 0\n-5 9 0 -7 0\n-1 0 -6 0 6\n0 5 0 6 0\n3 0 -3 0 -6\n0 6 0 -9 0\n",
+}
+
+#: (command, exit code, stdout, stderr)
+PINNED = [
+    ("build quadform --p 5 --c 1 --d 2", 0,
+     "5 5\n0 3 2 2 3\n1 4 1 3 3\n4 2 1 2 4\n4 4 2 1 2\n1 3 3 1 4\n", ""),
+    ("build quadform --p 5 --c 1 --d 2 --range from1 --exp 3 --mod 25", 0,
+     "4 25\n14 6 23 3\n12 21 2 9\n19 17 6 2\n23 18 11 19\n", ""),
+    ("build quadform --p 3 --c 1 --d 1 --exact", 0, "3 0\n0 1 4\n1 3 7\n4 7 12\n", ""),
+    ("build quadform --p 5 --c 1 --d 2 --mod 0", 2,
+     "", "error: modulus must be an odd integer >= 3, got 0\n"),
+    ("build quadform --p 5 --c 1 --d 2 --mod 8", 2,
+     "", "error: modulus must be an odd integer >= 3, got 8\n"),
+    ("build cauchy --kind invdiff --p 5 --diag zero --mod 25", 0,
+     "4 25\n0 24 12 8\n1 0 24 12\n13 1 0 24\n17 13 1 0\n", ""),
+    ("build cauchy --kind ratiosumdiff --p 7 --diag one --mod 49 --set half", 0,
+     "3 49\n1 46 47\n3 1 44\n2 5 1\n", ""),
+    ("build cauchy --kind invdiffsquares --p 7 --diag one --mod 7 --set half", 0,
+     "3 7\n1 2 6\n5 1 4\n1 3 1\n", ""),
+    ("build cauchy --kind ratiosumsquares --p 7 --diag zero --mod 343 --set half", 0,
+     "3 343\n0 227 256\n116 0 66\n87 277 0\n", ""),
+    ("build cauchy --kind invdiff --p 5 --diag zero --mod 1", 2,
+     "", "error: modulus must be an odd integer >= 3, got 1\n"),
+    ("build invform --p 7 --which half_range_sq", 0, "3 7\n4 3 5\n3 1 6\n5 6 2\n", ""),
+    ("build invform --p 5 --which full_range_ij", 0,
+     "4 5\n1 2 3 2\n2 4 3 3\n3 3 4 2\n2 3 2 1\n", ""),
+    ("build invform --p 9 --which full_range_ij", 2, "", "error: needs an odd prime, got 9\n"),
+    ("build primeind --n 4", 0, "4 0\n1 1 0 1\n1 0 1 0\n0 1 0 1\n1 0 1 0\n", ""),
+    ("build primeind --n 0", 2, "", "error: order must be in 1..2048, got 0\n"),
+    ("build checkerboard --n 5 --seed 1", 0,
+     "5 0\n-5 9 0 -7 0\n-1 0 -6 0 6\n0 5 0 6 0\n3 0 -3 0 -6\n0 6 0 -9 0\n", ""),
+    ("build checkerboard --n 4 --seed 2 --symmetric", 0,
+     "4 0\n-8 -7 0 -7\n-7 0 2 0\n0 2 0 -4\n-7 0 -4 0\n", ""),
+    ("build checkerboard --n 3000 --seed 1", 2, "", "error: order must be in 1..2048, got 3000\n"),
+    ("build skewcheckerboard --m 2 --seed 1", 0,
+     "4 0\n0 -5 0 9\n5 0 -7 0\n0 7 0 -1\n-9 0 1 0\n", ""),
+    ("build skewcheckerboard --m 0 --seed 1", 2, "", "error: order must be in 1..2048, got 0\n"),
+    ("build polyeval --n 4 --coeffs [[1,2],[0,1]]", 0,
+     "4 0\n4 7 10 13\n5 9 13 17\n6 11 16 21\n7 13 19 25\n", ""),
+    ("build polyeval --n 3 --coeffs [[0],[0],[1]]", 2, "", "error: x-degree 2 is not < n-1 = 2\n"),
+    ("det exact --engine auto", 0, "-4\n", "engine: bareiss\n"),
+    ("det exact --engine field", 2, "", "error: det_field needs a prime modulus context\n"),
+    ("det exact --engine ring", 2, "", "error: det_mod needs a modulus context\n"),
+    ("det exact --engine bareiss", 0, "-4\n", "engine: bareiss\n"),
+    ("det exact --engine naive", 0, "-4\n", "engine: naive\n"),
+    ("det exact --engine checkerboard", 2,
+     "", "error: nonzero entries off the checkerboard support at (1,3), (2,2), (3,1), (3,3)\n"),
+    ("per exact --engine auto", 0, "116\n", "engine: ryser\n"),
+    ("per exact --engine ryser", 0, "116\n", "engine: ryser\n"),
+    ("per exact --engine naive", 0, "116\n", "engine: naive\n"),
+    ("per exact --engine checkerboard", 2,
+     "", "error: nonzero entries off the checkerboard support at (1,3), (2,2), (3,1), (3,3)\n"),
+    ("det prime --engine auto", 0, "5\n", "engine: field\n"),
+    ("det prime --engine field", 0, "5\n", "engine: field\n"),
+    ("det prime --engine ring", 0, "5\n", "engine: ring\n"),
+    ("det prime --engine bareiss", 0, "5\n", "engine: bareiss\n"),
+    ("det prime --engine naive", 0, "5\n", "engine: naive\n"),
+    ("det prime --engine checkerboard", 2,
+     "", "error: nonzero entries off the checkerboard support at (1,3), (2,2), (3,3)\n"),
+    ("per prime --engine auto", 0, "6\n", "engine: ryser\n"),
+    ("per prime --engine ryser", 0, "6\n", "engine: ryser\n"),
+    ("per prime --engine naive", 0, "6\n", "engine: naive\n"),
+    ("per prime --engine checkerboard", 2,
+     "", "error: nonzero entries off the checkerboard support at (1,3), (2,2), (3,3)\n"),
+    ("det composite --engine auto", 0, "4\n", "engine: ring\n"),
+    ("det composite --engine field", 2, "", "error: det_field needs a prime modulus context\n"),
+    ("det composite --engine ring", 0, "4\n", "engine: ring\n"),
+    ("det composite --engine bareiss", 0, "4\n", "engine: bareiss\n"),
+    ("det composite --engine naive", 0, "4\n", "engine: naive\n"),
+    ("det composite --engine checkerboard", 2,
+     "", "error: nonzero entries off the checkerboard support at (2,2), (3,1), (3,3)\n"),
+    ("per composite --engine auto", 0, "6\n", "engine: ryser\n"),
+    ("per composite --engine ryser", 0, "6\n", "engine: ryser\n"),
+    ("per composite --engine naive", 0, "6\n", "engine: naive\n"),
+    ("per composite --engine checkerboard", 2,
+     "", "error: nonzero entries off the checkerboard support at (2,2), (3,1), (3,3)\n"),
+    ("det board --engine auto", 0, "-205428\n", "engine: checkerboard\n"),
+    ("det board --engine field", 2, "", "error: det_field needs a prime modulus context\n"),
+    ("det board --engine ring", 2, "", "error: det_mod needs a modulus context\n"),
+    ("det board --engine bareiss", 0, "-205428\n", "engine: bareiss\n"),
+    ("det board --engine naive", 0, "-205428\n", "engine: naive\n"),
+    ("det board --engine checkerboard", 0, "-205428\n", "engine: checkerboard\n"),
+    ("per board --engine auto", 0, "-363312\n", "engine: checkerboard\n"),
+    ("per board --engine ryser", 0, "-363312\n", "engine: ryser\n"),
+    ("per board --engine naive", 0, "-363312\n", "engine: naive\n"),
+    ("per board --engine checkerboard", 0, "-363312\n", "engine: checkerboard\n"),
+    ("det exact --mod 7", 0, "3\n", "engine: field\n"),
+    ("per exact --mod 7", 0, "4\n", "engine: ryser\n"),
+    ("det exact --mod 9", 0, "5\n", "engine: ring\n"),
+    ("per exact --mod 9", 0, "8\n", "engine: ryser\n"),
+    ("det board --mod 7", 0, "1\n", "engine: checkerboard\n"),
+    ("per board --mod 7", 0, "2\n", "engine: checkerboard\n"),
+    ("det board --mod 9", 0, "6\n", "engine: checkerboard\n"),
+    ("per board --mod 9", 0, "0\n", "engine: checkerboard\n"),
+    ("det oddboard --mod 7", 0, "2\n", "engine: checkerboard\n"),
+    ("per oddboard --mod 7", 0, "5\n", "engine: checkerboard\n"),
+    ("det oddboard --mod 9", 0, "0\n", "engine: checkerboard\n"),
+    ("per oddboard --mod 9", 0, "0\n", "engine: checkerboard\n"),
+    ("det oddboard --engine auto", 0, "21870\n", "engine: checkerboard\n"),
+    ("per oddboard --engine auto", 0, "810\n", "engine: checkerboard\n"),
+    ("det oddboard --engine checkerboard", 0, "21870\n", "engine: checkerboard\n"),
+    ("per oddboard --engine checkerboard", 0, "810\n", "engine: checkerboard\n"),
+    ("det exact --mod 0", 2, "", "error: modulus must be an odd integer >= 3, got 0\n"),
+    ("per exact --mod 0", 2, "", "error: modulus must be an odd integer >= 3, got 0\n"),
+    ("det exact --mod 8", 2, "", "error: modulus must be an odd integer >= 3, got 8\n"),
+    ("per exact --mod 8", 2, "", "error: modulus must be an odd integer >= 3, got 8\n"),
+    ("det composite --mod 7", 2, "", "error: matrix is mod 9; --mod 7 conflicts\n"),
+    ("per prime --mod 9", 2, "", "error: matrix is mod 7; --mod 9 conflicts\n"),
+    ("det prime --mod 7", 0, "5\n", "engine: field\n"),
+]
+
+
+@pytest.mark.parametrize("command,code,out,err", PINNED, ids=[case[0] for case in PINNED])
+def test_cli_output_is_pinned(tmp_path, capsys, command, code, out, err):
+    argv = command.split()
+    if argv[0] != "build":
+        path = tmp_path / f"{argv[1]}.txt"
+        path.write_text(PINNED_FILES[argv[1]])
+        argv[1] = str(path)
+    assert run(capsys, *argv) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
 # check
 
 
@@ -267,7 +401,7 @@ def test_check_fail_exit_one(capsys, monkeypatch):
     # force a full-range det whose Legendre symbol is wrong ((1/5) = 1 but
     # (2/5) = -1), then one that vanishes
     for det in (1, 0):
-        monkeypatch.setattr("congruence_lab.verify.det_field", lambda m, det=det: det)
+        monkeypatch.setattr("congruence_lab.verify.units_grid_det", lambda p, c, d, det=det: det)
         code, out, _ = run(capsys, "check", "background", "--p", "5", "--which",
                            "full_range_ij", "--format", "jsonl")
         assert code == 1
@@ -368,17 +502,14 @@ def test_sweep_background_reports_failures(capsys, monkeypatch):
     code, _, _ = run(capsys, "sweep", "background", "--pmax", "11", "--format", "jsonl")
     assert code == 0
 
-    real_det_field = verify.det_field
+    real_units_grid_det = verify.units_grid_det
 
-    def flipped_full_range(m):
+    def flipped_full_range(p, c, d):
         # multiply full-range dets by a non-residue, which flips their symbol
-        v = real_det_field(m)
-        p = m.ctx.modulus
-        if "full_range_ij" not in m.provenance:
-            return v
+        v = real_units_grid_det(p, c, d)
         return v * next(a for a in range(2, p) if legendre(a, p) == -1) % p
 
-    monkeypatch.setattr(verify, "det_field", flipped_full_range)
+    monkeypatch.setattr(verify, "units_grid_det", flipped_full_range)
     code, out, _ = run(capsys, "sweep", "background", "--pmax", "11",
                        "--format", "jsonl")
     assert code == 1

@@ -43,7 +43,7 @@ def reference(matrix):
 
 
 def build(rows, m):
-    return Matrix(len(rows), rows, ModCtx(m), f"det-mod-test-{m}")
+    return Matrix(rows, ModCtx(m))
 
 
 def check(matrix):
@@ -146,7 +146,7 @@ def test_det_field_is_det_mod_on_primes(rng):
     for p in (3, 101, M31):
         ctx = ModCtx.prime(p)
         rows = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
-        matrix = Matrix(6, rows, ctx, "field")
+        matrix = Matrix(rows, ctx)
         assert det_field(matrix) == det_mod(matrix) == reference(matrix)
     with pytest.raises(ValueError, match="prime"):
         det_field(build([[1]], 9))

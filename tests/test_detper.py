@@ -23,17 +23,17 @@ from congruence_lab.modnum import ModCtx, is_prime
 
 from conftest import is_perfect_square, lift, make_matrix, subfactorial
 
-REMARK = Matrix(3, ((0, 1, 4), (1, 3, 7), (4, 7, 12)), None, "remark")
+REMARK = Matrix(((0, 1, 4), (1, 3, 7), (4, 7, 12)), None)
 
 
 def exact(rows):
     rows = tuple(tuple(r) for r in rows)
-    return Matrix(len(rows), rows, None, "literal")
+    return Matrix(rows, None)
 
 
 def modular(rows, m):
     rows = tuple(tuple(x % m for x in r) for r in rows)
-    return Matrix(len(rows), rows, ModCtx(m), "literal")
+    return Matrix(rows, ModCtx(m))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_det_field_python_fallback_for_wide_prime():
     p = 2**31 + 11
     assert is_prime(p)
     rows = [[(i * 31 + j * 17 + 5) % p for j in range(4)] for i in range(4)]
-    m = Matrix(4, rows, ModCtx.prime(p), "wide")
+    m = Matrix(rows, ModCtx.prime(p))
     expected = det_naive(lift(m)) % p
     assert det_field(m) == expected
 
@@ -168,7 +168,7 @@ def test_naive_numpy_path_matches_python_path(rng):
     # small entries take the int64 products; big ones overflow int64 and take
     # the same permutation table with Python-int products
     big = make_matrix(6, rng, lo=-10**9, hi=10**9)
-    small = Matrix(6, big.entries % 97, None, "small")
+    small = Matrix(big.entries % 97, None)
     assert det_naive(small) == det_exact(small)
     assert det_naive(big) == det_exact(big)
     assert per_naive(big) == per_ryser(big)
@@ -245,11 +245,11 @@ def test_per_ryser_matches_naive_on_checkerboard_halves(n, m, rng):
         b = [r[2::2] for r in rows[1::2]]
         c = [r[1::2] for r in rows[2::2]]
         scale = rows[0][0]
-    halves = [per_naive(Matrix(len(h), h, ctx, "half")) for h in (b, c)]
+    halves = [per_naive(Matrix(h, ctx)) for h in (b, c)]
     expected = scale * halves[0] * halves[1]
     if m is not None:
         expected %= m
-    assert per_ryser(Matrix(n, rows, ctx, "checkerboard")) == expected
+    assert per_ryser(Matrix(rows, ctx)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_checkerboard_modular_mode(rng):
     ctx = ModCtx(25)
     for _ in range(10):
         ex = matgen.random_checkerboard_matrix(7, rng.randrange(10**9))
-        red = Matrix(7, ex.entries % 25, ctx, "red")
+        red = Matrix(ex.entries % 25, ctx)
         assert factor_checkerboard(red, "det") == det_naive(ex) % 25
         assert factor_checkerboard(red, "per") == per_naive(ex) % 25
 

@@ -1,5 +1,6 @@
 """Matrix builders: entry formulas, supports, file round-trips."""
 
+import dataclasses
 import io
 import random
 
@@ -184,8 +185,7 @@ def test_cauchy_matches_oracle_term_formula(kind, diagonal, m):
     sizes = _cauchy_sizes(m)
     for size in sizes:
         got = _built_or_error(lambda: cauchy_type_matrix(kind, size, diagonal, ctx))
-        want = _built_or_error(lambda: Matrix(size, _oracle_cauchy(kind, size, diagonal, ctx),
-                                              ctx, "oracle"))
+        want = _built_or_error(lambda: Matrix(_oracle_cauchy(kind, size, diagonal, ctx), ctx))
         assert got == want, (kind, diagonal, m, size)
     # the smallest size always builds: object storage holds Python ints
     entries = cauchy_type_matrix(kind, sizes[0], diagonal, ctx).entries
@@ -350,31 +350,42 @@ def test_polyeval_degree_gate():
 
 
 def test_matrix_shape_validation():
-    with pytest.raises(ValueError):
-        Matrix(2, ((1, 2),), None, "bad")
-    with pytest.raises(ValueError):
-        Matrix(2, ((1, 2), (3,)), None, "bad")
+    # not square, ragged, empty (three ways), a 1-D row, a 3-D array; at every dtype
+    for ctx in (None, ModCtx.prime(7), ModCtx.prime(2**31 + 11)):
+        for entries in (((1, 2),), ((1, 2), (3,)), (), [[]], np.zeros((0, 0), dtype=np.int64),
+                        (1, 2), np.ones((2, 2, 2), dtype=np.int64)):
+            with pytest.raises(ValueError):
+                Matrix(entries, ctx)
+
+
+def test_matrix_is_its_entries_and_its_modulus():
+    ctx = ModCtx.prime(7)
+    m = Matrix([[1, 2], [3, 4]], ctx)
+    assert [f.name for f in dataclasses.fields(Matrix)] == ["entries", "ctx"]
+    assert (m.n, m.ctx) == (2, ctx)
+    with pytest.raises(AttributeError):
+        m.n = 3
 
 
 def test_matrix_rejects_noncanonical_residues():
     ctx = ModCtx.prime(5)
     with pytest.raises(ValueError):
-        Matrix(1, ((7,),), ctx, "bad")
+        Matrix(((7,),), ctx)
     for bad in (-1, 2**70):
         with pytest.raises(ValueError):
-            Matrix(1, ((bad,),), ctx, "bad")
+            Matrix(((bad,),), ctx)
 
 
 def test_matrix_rejects_non_integer_entries():
     for ctx in (ModCtx.prime(7), ModCtx.prime(2**31 + 11), None):
         with pytest.raises(ValueError):
-            Matrix(2, [[1.5, 2], [3, 4]], ctx, "bad")
+            Matrix([[1.5, 2], [3, 4]], ctx)
 
 
 def test_matrix_equality_is_identity():
     # equal entries do not make equal matrices: == never compares arrays
-    a = Matrix(2, [[1, 2], [3, 4]], None, "a")
-    b = Matrix(2, [[1, 2], [3, 4]], None, "a")
+    a = Matrix([[1, 2], [3, 4]], None)
+    b = Matrix([[1, 2], [3, 4]], None)
     assert a == a and a != b
     assert len({a, b}) == 2
 

@@ -74,7 +74,7 @@ def test_signs_sum_to_zero_beyond_n1():
 
 
 def ones(n):
-    return Matrix(n, tuple((1,) * n for _ in range(n)), None, "ones")
+    return Matrix(tuple((1,) * n for _ in range(n)), None)
 
 
 def test_subfactorial_table():

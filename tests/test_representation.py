@@ -55,7 +55,7 @@ def _build(cls, shape, source):
     if source == "array":
         fits = all(-(2**63) <= x < 2**63 for row in rows for x in row)
         rows = np.array(rows, dtype=np.int64 if fits else object)
-    return Matrix(len(rows), rows, ctx, f"{cls}-{shape}-{source}")
+    return Matrix(rows, ctx)
 
 
 def _agree(matrix, signed, values):
@@ -89,7 +89,7 @@ def test_engines_agree_on_every_storage_class(cls, shape, source):
     _agree(m, False, [per_ryser(m), per_naive(m)])
 
     # the same entries restricted to the checkerboard support
-    cb = Matrix(m.n, np.where(checkerboard_support(m.n), m.entries, 0), ctx, "cb")
+    cb = Matrix(np.where(checkerboard_support(m.n), m.entries, 0), ctx)
     _agree(cb, True, [factor_checkerboard(cb, "det")])
     _agree(cb, False, [factor_checkerboard(cb, "per")])
 
@@ -99,12 +99,11 @@ def test_order_nine_near_int64_products_stays_exact():
     p = 2**31 - 1
     ctx = ModCtx.prime(p)
     rng = random.Random(9)
-    m = Matrix(9, [[p - 1 - rng.randrange(1000) for _ in range(9)] for _ in range(9)],
-               ctx, "near-2^31")
+    m = Matrix([[p - 1 - rng.randrange(1000) for _ in range(9)] for _ in range(9)], ctx)
     assert m.entries.dtype == np.int64
     _agree(m, True, [det_field(m), det_exact(m, reduce_ctx=ctx)])
     _agree(m, False, [per_ryser(m)])
     # at order 5 the naive engines already take their Python-int fallback
-    small = Matrix(5, m.entries[:5, :5], ctx, "near-2^31-5")
+    small = Matrix(m.entries[:5, :5], ctx)
     _agree(small, True, [det_naive(small), det_field(small)])
     _agree(small, False, [per_naive(small)])

@@ -184,7 +184,8 @@ def test_units_grid_checks_build_no_matrix(monkeypatch):
              ("reflection", {"p": 53, "c": 2, "d": 3}),
              ("dp-theorem", {"p": 47, "variant": "c_minus1", "c": 4}),
              ("dp-theorem", {"p": 47, "variant": "two_two"}),
-             ("dp-theorem", {"p": 47, "variant": "six_six"})]
+             ("dp-theorem", {"p": 47, "variant": "six_six"}),
+             ("background", {"p": 47, "which": "full_range_ij"})]
 
     def records():
         return [{**r.as_record(), "elapsed_ms": None} for r in run_sweep(cells)]
@@ -197,6 +198,7 @@ def test_units_grid_checks_build_no_matrix(monkeypatch):
         raise AssertionError("a units-grid check built a matrix")
 
     monkeypatch.setattr(verify, "quad_form_matrix", refuse)
+    monkeypatch.setattr(verify, "inverse_form_matrix", refuse)
     monkeypatch.setattr(verify, "det_field", refuse)
     assert records() == by_elimination
     assert {r["verdict"] for r in by_elimination} == {PASS}
@@ -243,7 +245,7 @@ def test_background_full_range_mismatch_is_reported(monkeypatch):
     assert r.expected == "(det/5) = (2/5) = -1"
     # a det whose symbol is wrong, and a det that vanishes, are reported as fails
     for det, symbol in ((1, 1), (0, 0)):
-        monkeypatch.setattr("congruence_lab.verify.det_field", lambda m, det=det: det)
+        monkeypatch.setattr("congruence_lab.verify.units_grid_det", lambda p, c, d, det=det: det)
         r = one("background", {"p": 5, "which": "full_range_ij"})
         assert r.verdict == FAIL
         assert r.computed == f"{det} (mod 5); ({det}/5) = {symbol}"
