@@ -1,96 +1,3 @@
 """congruence_lab: exact determinant/permanent experiments over Z and Z/m."""
 
-from .modnum import (
-    InconclusiveValuation,
-    ModCtx,
-    NonUnitError,
-    double_factorial_mod,
-    inv_mod,
-    is_prime,
-    jacobi,
-    legendre,
-    odd_primes_in,
-    padic_valuation,
-    primes_up_to,
-)
-from .matgen import (
-    EntryKind,
-    Matrix,
-    NonUnitDenominator,
-    cauchy_type_matrix,
-    inverse_form_matrix,
-    poly_eval_matrix,
-    prime_indicator_matrix,
-    quad_form_matrix,
-    random_checkerboard_matrix,
-    random_skew_checkerboard_matrix,
-    read_matrix,
-    write_matrix,
-)
-from .detper import (
-    OrderTooLarge,
-    SupportViolation,
-    det_exact,
-    det_field,
-    det_mod,
-    det_naive,
-    factor_checkerboard,
-    per_naive,
-    per_ryser,
-)
-from .oracle import (
-    OracleSpec,
-    matrix_permutation_sum,
-    permutation_sum,
-    reduction_check,
-    signed_permutations,
-)
-from .verify import CheckReport, exit_code, run_check, run_sweep, sweep_cells
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckReport",
-    "EntryKind",
-    "InconclusiveValuation",
-    "Matrix",
-    "ModCtx",
-    "NonUnitDenominator",
-    "NonUnitError",
-    "OracleSpec",
-    "OrderTooLarge",
-    "SupportViolation",
-    "__version__",
-    "cauchy_type_matrix",
-    "det_exact",
-    "det_field",
-    "det_mod",
-    "det_naive",
-    "double_factorial_mod",
-    "exit_code",
-    "factor_checkerboard",
-    "inv_mod",
-    "inverse_form_matrix",
-    "is_prime",
-    "jacobi",
-    "legendre",
-    "matrix_permutation_sum",
-    "odd_primes_in",
-    "padic_valuation",
-    "per_naive",
-    "per_ryser",
-    "permutation_sum",
-    "poly_eval_matrix",
-    "prime_indicator_matrix",
-    "primes_up_to",
-    "quad_form_matrix",
-    "random_checkerboard_matrix",
-    "random_skew_checkerboard_matrix",
-    "read_matrix",
-    "reduction_check",
-    "run_check",
-    "run_sweep",
-    "signed_permutations",
-    "sweep_cells",
-    "write_matrix",
-]

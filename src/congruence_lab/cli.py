@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from typing import IO, Callable, Iterable
@@ -41,13 +42,13 @@ def emit_reports(reports: Iterable[verify.CheckReport], fmt: str, out: IO[str]) 
             record["elapsed_ms"] = round(record["elapsed_ms"], 3)
             out.write(json.dumps(record) + "\n")
     elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["check_id", "params", "computed", "expected", "verdict", "elapsed_ms"])
+        writer = csv.DictWriter(out, [f.name for f in dataclasses.fields(verify.CheckReport)])
+        writer.writeheader()
         for r in reports:
-            writer.writerow(
-                [r.check_id, json.dumps(r.params), r.computed, r.expected,
-                 r.verdict, f"{r.elapsed_ms:.3f}"]
-            )
+            record = r.as_record()
+            record["params"] = json.dumps(record["params"])
+            record["elapsed_ms"] = f"{record['elapsed_ms']:.3f}"
+            writer.writerow(record)
     elif fmt == "tty":
         counts = {verify.PASS: 0, verify.FAIL: 0, verify.INCONCLUSIVE: 0, verify.NOT_APPLICABLE: 0}
         for r in reports:

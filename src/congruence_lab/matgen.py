@@ -384,4 +384,7 @@ def read_matrix(fh: IO[str]) -> Matrix:
         if len(parts) != n:
             raise ValueError(f"row {i + 1}: expected {n} entries, got {len(parts)}")
         rows.append([int(x) for x in parts])
+    for line in fh:
+        if line.strip():
+            raise ValueError(f"unexpected line after row {n}: {line.strip()!r}")
     return Matrix(rows, ctx)

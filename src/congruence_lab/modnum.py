@@ -1,10 +1,10 @@
 """Exact modular arithmetic and the scalar number theory shared by every module.
 
-A ModCtx is a modulus with its reduction and inversion; scalar residues are
-canonical ints in [0, modulus).  (How a Matrix stores its residues is up to
-matgen.)  Moduli are always odd here: the matrix families under study never
-need an even modulus, and rejecting them early keeps inverse-of-2 tricks valid
-everywhere.
+A ModCtx is a modulus with its reduction, and inv_mod inverts a residue modulo
+any modulus; scalar residues are canonical ints in [0, modulus).  (How a
+Matrix stores its residues is up to matgen.)  Moduli are always odd here: the
+matrix families under study never need an even modulus, and rejecting them
+early keeps inverse-of-2 tricks valid everywhere.
 """
 
 from __future__ import annotations
@@ -147,9 +147,6 @@ class ModCtx:
 
     def reduce(self, x: int) -> int:
         return x % self.modulus
-
-    def inv(self, a: int) -> int:
-        return inv_mod(a, self.modulus)
 
 
 def legendre(a: int, p: int) -> int:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .matgen import EntryKind, Matrix, NonUnitDenominator, cauchy_type_matrix
-from .modnum import ModCtx, NonUnitError
+from congruence_lab.matgen import EntryKind, Matrix, NonUnitDenominator, cauchy_type_matrix
+from congruence_lab.modnum import ModCtx, NonUnitError, inv_mod
 
 ORACLE_LIMIT = 9
 
@@ -87,7 +87,7 @@ def _term_value(kind: EntryKind, j: int, k: int, ctx: ModCtx, cache: dict[int, i
     r = den % m
     if r not in cache:
         try:
-            cache[r] = ctx.inv(r)
+            cache[r] = inv_mod(r, m)
         except NonUnitError as e:
             raise NonUnitDenominator(j, k, den, m, e.gcd) from None
     return num * cache[r] % m
@@ -155,7 +155,7 @@ def reduction_check(spec: OracleSpec) -> bool:
     all of S_n with unit-diagonal ones; signed sums go through det_mod and
     unsigned ones through the permanent kernel.
     """
-    from .detper import det_mod, per_ryser
+    from congruence_lab.detper import det_mod, per_ryser
 
     diagonal = "zero" if spec.domain == DOMAIN_DERANGEMENTS else "one"
     matrix = cauchy_type_matrix(spec.term, spec.n, diagonal, spec.ctx)

@@ -35,14 +35,6 @@ from congruence_lab.matgen import (
     random_skew_checkerboard_matrix,
 )
 from congruence_lab.modnum import ModCtx, is_prime, jacobi
-from congruence_lab.oracle import (
-    DOMAIN_ALL,
-    DOMAIN_DERANGEMENTS,
-    PRODUCT_ALL,
-    PRODUCT_SKIP_FIXED,
-    OracleSpec,
-    reduction_check,
-)
 from congruence_lab.verify import (
     FAIL,
     INCONCLUSIVE,
@@ -54,6 +46,14 @@ from congruence_lab.verify import (
 )
 
 from conftest import is_perfect_square, lift, make_matrix
+from oracle import (
+    DOMAIN_ALL,
+    DOMAIN_DERANGEMENTS,
+    PRODUCT_ALL,
+    PRODUCT_SKIP_FIXED,
+    OracleSpec,
+    reduction_check,
+)
 
 
 def report(num, ok, detail):

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, formats, engines, exit codes."""
 
+import csv
+import io
 import json
 import resource
 import subprocess
@@ -152,6 +154,28 @@ def test_stdin_dash_roundtrip():
     )
     assert proc.returncode == 0
     assert proc.stdout == "10\n"
+
+
+def test_stdin_extra_row_is_refused():
+    proc = subprocess.run(
+        [sys.executable, "-m", "congruence_lab", "det", "-"],
+        input="2 0\n1 2\n3 4\n5 6\n", capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: cannot read matrix from -: unexpected line after row 2: '5 6'\n"
+
+
+def test_trailing_blank_lines_are_accepted(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("2 0\n1 2\n3 4\n\n  \n")
+    assert run(capsys, "det", str(path)) == (0, "-2\n", "engine: bareiss\n")
+
+
+def test_built_matrix_reads_back(tmp_path, capsys):
+    path = tmp_path / "cb.txt"
+    code, _, _ = run(capsys, "build", "checkerboard", "--n", "8", "--seed", "1", "--out", str(path))
+    assert code == 0
+    assert run(capsys, "det", str(path))[:2] == (0, "29509200\n")
 
 
 @pytest.mark.parametrize("modulus", [2**61 - 1, (2**31 - 1) * (2**31 + 11)])
@@ -464,6 +488,35 @@ def test_check_csv_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "check_id,params,computed,expected,verdict,elapsed_ms"
     assert lines[1].startswith('p3,"{""c"": 1, ""d"": 1}",-4,-4,pass,')
+
+
+CSV_HEADER = "check_id,params,computed,expected,verdict,elapsed_ms"
+
+
+def _without_elapsed(record):
+    return {k: v for k, v in record.items() if k != "elapsed_ms"}
+
+
+def test_csv_rows_match_jsonl_records(capsys):
+    argv = ("sweep", "conj", "--id", "5", "--pmax", "13")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    code, out, _ = run(capsys, *argv, "--format", "jsonl")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == len(records) == 10
+    for row, record in zip(rows, records):
+        assert "part" in record["params"]
+        assert f"{float(row['elapsed_ms']):.3f}" == row["elapsed_ms"]
+        row["params"] = json.loads(row["params"])
+        assert _without_elapsed(row) == _without_elapsed(record)
+
+
+def test_empty_sweep_csv_is_the_header_alone(capsys):
+    code, out, _ = run(capsys, "sweep", "conj", "--id", "5", "--pmin", "4", "--pmax", "4",
+                       "--format", "csv")
+    assert (code, out) == (0, CSV_HEADER + "\r\n")
 
 
 def test_check_tty_format(capsys):

@@ -19,9 +19,9 @@ from congruence_lab import detper
 from congruence_lab.detper import det_exact, det_field, det_mod, det_naive
 from congruence_lab.matgen import EntryKind, Matrix, cauchy_type_matrix
 from congruence_lab.modnum import ModCtx, odd_primes_in
-from congruence_lab.oracle import matrix_permutation_sum
 
 from conftest import lift
+from oracle import matrix_permutation_sum
 
 M31 = 2**31 - 1
 #: modulus -> a prime factor of it

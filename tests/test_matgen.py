@@ -23,9 +23,9 @@ from congruence_lab.matgen import (
     write_matrix,
 )
 from congruence_lab.modnum import ModCtx, is_prime, odd_primes_in
-from congruence_lab.oracle import _term_value
 
 from conftest import make_matrix
+from oracle import _term_value
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +415,26 @@ def test_read_matrix_rejects_malformed():
     for text in ("", "2\n1 2\n3 4\n", "2 0\n1 2\n", "2 0\n1 2\n3\n", "1 6\n2\n"):
         with pytest.raises(ValueError):
             read_matrix(io.StringIO(text))
+
+
+def test_read_matrix_refuses_lines_after_the_last_row():
+    for text in ("2 0\n1 2\n3 4\n5 6\n", "2 0\n1 2\n3 4\n\n5 6\n", "1 0\n7\nx"):
+        with pytest.raises(ValueError, match="unexpected line after row"):
+            read_matrix(io.StringIO(text))
+
+
+def test_read_matrix_accepts_trailing_blank_lines():
+    for text in ("2 0\n1 2\n3 4", "2 0\n1 2\n3 4\n\n", "2 0\n1 2\n3 4\n \t\n\n"):
+        assert read_matrix(io.StringIO(text)).entries.tolist() == [[1, 2], [3, 4]]
+
+
+def test_write_then_read_is_identity_on_text(rng):
+    for ctx in (None, ModCtx(49)):
+        buf = io.StringIO()
+        write_matrix(make_matrix(6, rng, ctx=ctx), buf)
+        again = io.StringIO()
+        write_matrix(read_matrix(io.StringIO(buf.getvalue())), again)
+        assert again.getvalue() == buf.getvalue()
 
 
 def test_read_matrix_rejects_out_of_range_residue():

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from congruence_lab.detper import det_naive, per_naive
 from congruence_lab.matgen import EntryKind, Matrix, NonUnitDenominator
 from congruence_lab.modnum import ModCtx
-from congruence_lab.oracle import (
+
+from conftest import lift, make_matrix, subfactorial
+from oracle import (
     DOMAIN_ALL,
     DOMAIN_DERANGEMENTS,
     ORACLE_LIMIT,
@@ -22,8 +24,6 @@ from congruence_lab.oracle import (
     reduction_check,
     signed_permutations,
 )
-
-from conftest import lift, make_matrix, subfactorial
 
 
 def inversion_sign(perm):

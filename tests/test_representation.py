@@ -11,7 +11,6 @@ import random
 import numpy as np
 import pytest
 
-from congruence_lab import oracle
 from congruence_lab.detper import (
     det_exact,
     det_field,
@@ -22,6 +21,8 @@ from congruence_lab.detper import (
 )
 from congruence_lab.matgen import Matrix, checkerboard_support
 from congruence_lab.modnum import ModCtx
+
+import oracle
 
 WIDE_PRIME = 2**31 + 11
 

@@ -10,7 +10,6 @@ from congruence_lab import verify
 from congruence_lab.detper import det_field
 from congruence_lab.matgen import MAX_ORDER, inverse_form_matrix
 from congruence_lab.modnum import odd_primes_in
-from congruence_lab.oracle import matrix_permutation_sum
 from congruence_lab.verify import (
     FAIL,
     INCONCLUSIVE,
@@ -27,6 +26,7 @@ from congruence_lab.verify import (
 )
 
 from conftest import units_grid_det_by_elimination
+from oracle import matrix_permutation_sum
 
 
 def one(check_id, params, **kw):
