@@ -1,7 +1,9 @@
 """Command-line front end: build matrices, compute det/per, run checks and sweeps.
 
 Exit codes: 0 = no failing checks, 1 = at least one fail verdict,
-2 = usage or input error.
+2 = usage or input error.  Handlers only forward flags and print results;
+main is the one place an error becomes exit 2, and verify.run_check and
+verify.sweep_cells decide which inputs a cell and a grid take.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from typing import IO, Callable, Iterable
@@ -25,9 +28,10 @@ CHECK_NAMES = tuple(dict.fromkeys(
     "conj" if check_id.removeprefix("conj").isdigit() else check_id for check_id in verify.CHECKS
 ))
 
-
-class InputError(Exception):
-    """Bad user input that should terminate with exit code 2."""
+#: `check` flags forwarded to verify.run_check when given
+CELL_FLAGS = ("p", "n", "c", "d", "variant", "which")
+#: `sweep` flags forwarded to verify.sweep_cells when given
+SWEEP_FLAGS = ("pmin", "pmax", "nmin", "nmax", "cmax", "dmax", "variant", "which")
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +68,7 @@ def emit_reports(reports: Iterable[verify.CheckReport], fmt: str, out: IO[str]) 
             f"{counts[verify.NOT_APPLICABLE]} not-applicable\n"
         )
     else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {fmt!r}")
     return reports
 
 
@@ -79,7 +83,7 @@ def _load_matrix(path: str) -> Matrix:
         with open(path) as fh:
             return matgen.read_matrix(fh)
     except (OSError, ValueError) as e:
-        raise InputError(f"cannot read matrix from {path}: {e}") from None
+        raise ValueError(f"cannot read matrix from {path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +92,7 @@ def _load_matrix(path: str) -> Matrix:
 
 def _build_quadform(args: argparse.Namespace) -> Matrix:
     if args.exact and args.mod is not None:
-        raise InputError("--mod and --exact are mutually exclusive")
+        raise ValueError("--mod and --exact are mutually exclusive")
     ctx = None if args.exact else ModCtx(args.p if args.mod is None else args.mod)
     exponent = args.exp if args.exp is not None else args.p - 2
     return matgen.quad_form_matrix(args.p, args.c, args.d, args.range, exponent, ctx)
@@ -104,7 +108,7 @@ def _build_polyeval(args: argparse.Namespace) -> Matrix:
     try:
         coeffs = json.loads(args.coeffs)
     except json.JSONDecodeError as e:
-        raise InputError(f"--coeffs must be a JSON list of lists: {e}") from None
+        raise ValueError(f"--coeffs must be a JSON list of lists: {e}") from None
     return matgen.poly_eval_matrix(coeffs, args.n)
 
 
@@ -136,10 +140,7 @@ def _det_fallback(matrix: Matrix) -> str:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        matrix = args.build(args)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    matrix = args.build(args)
     if args.out is None or args.out == "-":
         matgen.write_matrix(matrix, sys.stdout)
     else:
@@ -155,7 +156,7 @@ def _resolve_input(args: argparse.Namespace) -> Matrix:
         return matrix
     if matrix.ctx is not None:
         if matrix.ctx.modulus != args.mod:
-            raise InputError(f"matrix is mod {matrix.ctx.modulus}; --mod {args.mod} conflicts")
+            raise ValueError(f"matrix is mod {matrix.ctx.modulus}; --mod {args.mod} conflicts")
         return matrix
     ctx = ModCtx(args.mod)  # first: reducing by a --mod of 0 would divide by zero
     return Matrix(matrix.entries % ctx.modulus, ctx)
@@ -164,14 +165,11 @@ def _resolve_input(args: argparse.Namespace) -> Matrix:
 def cmd_engine(args: argparse.Namespace) -> int:
     """det or per by the named engine; auto takes checkerboard where the support allows it."""
     engine = args.engine
-    try:
-        matrix = _resolve_input(args)
-        if engine == "auto":
-            supported = not detper.checkerboard_violations(matrix)
-            engine = "checkerboard" if supported else args.fallback(matrix)
-        value = args.engines[engine](matrix)
-    except (ValueError, ArithmeticError) as e:
-        raise InputError(str(e)) from None
+    matrix = _resolve_input(args)
+    if engine == "auto":
+        supported = not detper.checkerboard_violations(matrix)
+        engine = "checkerboard" if supported else args.fallback(matrix)
+    value = args.engines[engine](matrix)
     print(value)
     print(f"engine: {engine}", file=sys.stderr)
     return 0
@@ -179,45 +177,27 @@ def cmd_engine(args: argparse.Namespace) -> int:
 
 def _check_id(args: argparse.Namespace) -> str:
     if args.check != "conj":
+        if args.id is not None:
+            raise ValueError(f"{args.check} takes no --id")
         return args.check
     if args.id is None:
-        raise InputError("conj needs --id")
+        raise ValueError("conj needs --id")
     return f"conj{args.id}"
 
 
+def _given(args: argparse.Namespace, flags: tuple[str, ...]) -> dict:
+    return {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    check_id = _check_id(args)
-    spec = verify.CHECKS.get(check_id)
-    if spec is None:
-        raise InputError(f"unknown check id {check_id!r}")
-    params = {k: getattr(args, k) for k in spec.params}
-    missing = spec.missing(params)
-    if missing:
-        raise InputError(f"{check_id} needs --" + ", --".join(missing))
-    try:
-        reports = verify.run_check(check_id, params, per_order_cap=args.per_order_cap)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    reports = verify.run_check(_check_id(args), _given(args, CELL_FLAGS), args.per_order_cap)
     emit_reports(reports, args.format, sys.stdout)
     return verify.exit_code(reports)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        cells = verify.sweep_cells(
-            _check_id(args),
-            pmin=args.pmin,
-            pmax=args.pmax,
-            nmin=args.nmin,
-            nmax=args.nmax,
-            cmax=args.cmax,
-            dmax=args.dmax,
-            variant=args.variant,
-            which=args.which,
-        )
-        reports = verify.run_sweep(cells, jobs=args.jobs, per_order_cap=args.per_order_cap)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    cells = verify.sweep_cells(_check_id(args), **_given(args, SWEEP_FLAGS))
+    reports = verify.run_sweep(cells, jobs=args.jobs, per_order_cap=args.per_order_cap)
     emit_reports(reports, args.format, sys.stdout)
     return verify.exit_code(reports)
 
@@ -226,7 +206,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; nothing may change it after."""
     parser = argparse.ArgumentParser(
         prog="congruence-lab",
         description="Exact determinant/permanent workbench for modular congruence checks.",
@@ -295,18 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(handler=cmd_engine)
 
     c = sub.add_parser("check", help="run a single check")
-    c.add_argument("--p", type=int, default=None)
-    c.add_argument("--n", type=int, default=None)
-    c.add_argument("--c", type=int, default=None)
-    c.add_argument("--d", type=int, default=None)
-
     s = sub.add_parser("sweep", help="run a check over a parameter range")
-    s.add_argument("--pmin", type=int, default=3)
-    s.add_argument("--pmax", type=int, default=None)
-    s.add_argument("--nmin", type=int, default=5)
-    s.add_argument("--nmax", type=int, default=None)
-    s.add_argument("--cmax", type=int, default=None)
-    s.add_argument("--dmax", type=int, default=None)
+    for cmd, flags in ((c, CELL_FLAGS), (s, SWEEP_FLAGS)):
+        for name in flags[:-2]:  # --variant and --which take choices and come below
+            cmd.add_argument(f"--{name}", type=int, default=None)
     s.add_argument("--jobs", type=int, default=1,
                    help="parallel workers (changes wall time only, never output)")
 
@@ -326,15 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except BrokenPipeError:  # pragma: no cover
         return 0
+    except (ValueError, ArithmeticError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

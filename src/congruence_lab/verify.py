@@ -374,9 +374,6 @@ class CheckSpec:
     dmax: int | None = None
     optional: tuple[str, ...] = ()
 
-    def missing(self, params: dict) -> list[str]:
-        return [k for k in self.params if k not in self.optional and params.get(k) is None]
-
 
 def _one(checker: Callable[..., Outcome]) -> Runner:
     return lambda params, cap: [(None, checker(**params))]
@@ -461,21 +458,26 @@ def _spec(check_id: str) -> CheckSpec:
 def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> list[CheckReport]:
     """Evaluate one check cell: one report per part, in the order the parts run.
 
-    This is the one place reports are made.  A report's params are the cell's
-    params that are not None, plus "part" for a multi-part cell; elapsed_ms is
-    the time spent producing that part's outcome, including any matrix built
-    for it (a matrix shared by two parts counts in the first).
+    This is the one place reports are made, and the one place a cell's params
+    are checked: a param that is None counts as not given, and one the id
+    does not take, or a missing one it needs, raises ValueError naming the
+    flag.  A report's params are the cell's params that are given, plus "part"
+    for a multi-part cell; elapsed_ms is the time spent producing that part's
+    outcome, including any matrix built for it (a matrix shared by two parts
+    counts in the first).
     """
     spec = _spec(check_id)
-    missing = spec.missing(params)
-    if missing:
-        raise ValueError(f"{check_id} needs " + ", ".join(missing))
-    if "p" in spec.params:  # every statement in p is about an odd prime p
-        _require_odd_prime(params["p"])
     cell = {k: params[k] for k in spec.params if params.get(k) is not None}
+    extra = [k for k, v in params.items() if v is not None and k not in spec.params]
+    missing = [k for k in spec.params if k not in cell and k not in spec.optional]
+    for problem, names in (("takes no", extra), ("needs", missing)):
+        if names:
+            raise ValueError(f"{check_id} {problem} --" + ", --".join(names))
+    if "p" in cell:  # every statement in p is about an odd prime p
+        _require_odd_prime(cell["p"])
     reports = []
     t0 = time.perf_counter()
-    for part, (computed, expected, verdict) in spec.run(params, per_order_cap):
+    for part, (computed, expected, verdict) in spec.run(cell, per_order_cap):
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         record = cell if part is None else {**cell, "part": part}
         reports.append(CheckReport(check_id, record, computed, expected, verdict, elapsed_ms))
@@ -496,8 +498,11 @@ def sweep_cells(
 ) -> list[tuple[str, dict]]:
     """Deterministic parameter grid for a sweep over one check id.
 
-    A grid of more than MAX_CELLS cells raises ValueError; it is never built
-    in full.
+    This is the one place a grid's bounds are checked: a bound the id needs
+    and does not get, a lower bound above its upper bound, nmin < 1, a
+    negative cmax or dmax, and a grid of more than MAX_CELLS cells each raise
+    ValueError; the grid is never built in full.  Bounds that hold no prime
+    give an empty grid.
     """
     spec = _spec(check_id)
     bounds = SimpleNamespace(
@@ -506,9 +511,16 @@ def sweep_cells(
     )
     if spec.needs is not None and getattr(bounds, spec.needs) is None:
         raise ValueError(f"{check_id} sweep needs {spec.needs}")
-    for name in ("pmax", "nmax"):
-        if (getattr(bounds, name) or 0) > MAX_ORDER:
-            raise ValueError(f"{name} must be at most {MAX_ORDER} (the largest matrix order)")
+    for low, high in (("pmin", "pmax"), ("nmin", "nmax")):
+        lo, hi = getattr(bounds, low), getattr(bounds, high)
+        if hi is not None and lo > hi:
+            raise ValueError(f"{low} {lo} is above {high} {hi}")
+        if (hi or 0) > MAX_ORDER:
+            raise ValueError(f"{high} must be at most {MAX_ORDER} (the largest matrix order)")
+    for name, least in (("nmin", 1), ("cmax", 0), ("dmax", 0)):
+        value = getattr(bounds, name)
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     grid = itertools.islice(spec.grid(bounds), MAX_CELLS + 1)
     cells = [(check_id, params) for params in grid]
     if len(cells) > MAX_CELLS:

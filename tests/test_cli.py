@@ -79,6 +79,14 @@ def test_build_to_file(tmp_path, capsys):
     assert target.read_text() == "3 0\n0 1 4\n1 3 7\n4 7 12\n"
 
 
+def test_build_to_unwritable_file_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "m.txt"
+    code, out, err = run(capsys, "build", "primeind", "--n", "4", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert not target.parent.exists()
+
+
 # ---------------------------------------------------------------------------
 # det / per
 
@@ -593,6 +601,25 @@ def test_sweep_rejects_nonpositive_jobs(capsys):
         assert code == 2
         assert out == ""
         assert err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("command,message", [
+    ("check p3 --c 1 --d 1 --p 5", "p3 takes no --p"),
+    ("check eq15 --p 5 --c 1 --d 1 --variant two_two", "eq15 takes no --variant"),
+    ("check eq15 --p 5 --c 1 --d 1 --id 3", "eq15 takes no --id"),
+    ("check conj --id 1 --p 5 --n 5 --c 1 --d 2", "conj1 takes no --p"),
+    ("sweep p3 --cmax -3", "cmax must be >= 0, got -3"),
+    ("sweep eq15 --pmax 7 --dmax -1", "dmax must be >= 0, got -1"),
+    ("sweep conj --id 5 --pmin 13 --pmax 5", "pmin 13 is above pmax 5"),
+    ("sweep conj --id 1 --nmin 11 --nmax 9", "nmin 11 is above nmax 9"),
+    ("sweep conj --id 1 --nmin -3 --nmax 9", "nmin must be >= 1, got -3"),
+    ("sweep background --pmax 13 --id 2", "background takes no --id"),
+])
+def test_flags_a_cell_or_grid_cannot_take_are_refused(capsys, command, message):
+    """Each refusal is one error line, exit 2, and nothing on stdout (not even a CSV header)."""
+    for fmt in ("jsonl", "csv"):
+        code, out, err = run(capsys, *command.split(), "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_sweep_requires_bound(capsys):

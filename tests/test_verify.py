@@ -511,6 +511,48 @@ def test_sweep_cells_refuses_grids_over_max_cells():
     assert len(sweep_cells("p3", cmax=4, dmax=5555)) == 99999  # 9 * 11111
 
 
+@pytest.mark.parametrize("check_id,params,message", [
+    ("p3", {"c": 1, "d": 1, "p": 5}, "p3 takes no --p"),
+    ("eq15", {"p": 5, "c": 1, "d": 1, "variant": "two_two"}, "eq15 takes no --variant"),
+    ("conj2", {"p": 5, "n": 5, "which": "half_range_sq"}, "conj2 takes no --n, --which"),
+    ("eq15", {"p": 5, "c": 1}, "eq15 needs --d"),
+    ("conj1", {"n": 5}, "conj1 needs --c, --d"),
+    ("dp-theorem", {"p": 7, "c": 2}, "dp-theorem needs --variant"),
+    ("conj1", {"p": 5}, "conj1 takes no --p"),  # an extra param is named before a missing one
+])
+def test_run_check_refuses_params_the_id_does_not_take_or_needs(check_id, params, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_check(check_id, params)
+
+
+def test_run_check_ignores_none_params():
+    [r] = run_check("dp-theorem", {"p": 7, "variant": "two_two", "c": None, "n": None})
+    assert (r.params, r.verdict) == ({"p": 7, "variant": "two_two"}, PASS)
+    [r] = run_check("p3", {"p": None, "c": 1, "d": 1})
+    assert (r.params, r.computed) == ({"c": 1, "d": 1}, "-4")
+
+
+@pytest.mark.parametrize("check_id,bounds,message", [
+    ("conj5", {"pmin": 13, "pmax": 5}, "pmin 13 is above pmax 5"),
+    ("conj1", {"nmin": 11, "nmax": 9}, "nmin 11 is above nmax 9"),
+    ("conj1", {"nmin": -3, "nmax": 9}, "nmin must be >= 1, got -3"),
+    ("conj1", {"nmin": 0, "nmax": 9}, "nmin must be >= 1, got 0"),
+    ("p3", {"cmax": -3}, "cmax must be >= 0, got -3"),
+    ("reflection", {"pmax": 7, "dmax": -1}, "dmax must be >= 0, got -1"),
+    ("dp-theorem", {"pmax": 7, "cmax": -1}, "cmax must be >= 0, got -1"),
+])
+def test_sweep_cells_refuses_bounds_that_cannot_hold_a_cell(check_id, bounds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sweep_cells(check_id, **bounds)
+
+
+def test_sweep_cells_accepts_equal_and_zero_bounds():
+    assert sweep_cells("conj2", pmin=5, pmax=5) == [("conj2", {"p": 5})]
+    assert sweep_cells("conj1", nmin=1, nmax=1, cmax=0, dmax=0) == [
+        ("conj1", {"n": 1, "c": 0, "d": 0})]
+    assert sweep_cells("p3", cmax=0, dmax=0) == [("p3", {"c": 0, "d": 0})]
+
+
 def test_sweep_cells_empty_prime_range():
     assert sweep_cells("conj2", pmin=24, pmax=28) == []
 
