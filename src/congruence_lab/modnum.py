@@ -150,20 +150,10 @@ class ModCtx:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, via Euler's criterion.
-
-    Returns 0 when p | a, else +-1.
-    """
+    """Legendre symbol (a/p) for an odd prime p: 0 when p | a, else +-1."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"legendre symbol needs an odd prime, got {p}")
-    t = pow(a % p, (p - 1) // 2, p)
-    if t == 0:
-        return 0
-    if t == 1:
-        return 1
-    if t == p - 1:
-        return -1
-    raise AssertionError(f"Euler criterion produced {t} for ({a}/{p})")  # unreachable
+    return jacobi(a, p)
 
 
 def jacobi(a: int, n: int) -> int:

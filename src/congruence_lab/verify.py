@@ -23,7 +23,6 @@ from .matgen import (
     MAX_ORDER,
     EntryKind,
     Matrix,
-    _check_order,
     cauchy_type_matrix,
     inverse_form_matrix,
     quad_form_matrix,
@@ -50,6 +49,9 @@ PER_ORDER_CAPS = {5: 12, 6: 12, 7: 17, 8: 17, 9: 17}
 
 #: the most cells one sweep may hold; a larger grid is refused before it runs
 MAX_CELLS = 10**5
+
+#: the largest p of a matrix-free check; units_grid_det takes O(p) time and memory
+MAX_UNITS_P = 10**5
 
 VANISHING_VARIANTS = ("c_minus1", "two_two", "six_six")
 INVERSE_FORM_WHICH = ("half_range_sq", "full_range_ij")
@@ -85,8 +87,9 @@ def units_grid_det(p: int, c: int, d: int) -> int:
     By Frobenius g = (1 + c*t^p + d*t^2p) / f^2 with f = 1 + c*t + d*t^2, and
     1/f^2 follows a 4-term recurrence because f(0) = 1; no matrix is built.
     """
+    if p > MAX_UNITS_P:
+        raise ValueError(f"units_grid_det takes p up to {MAX_UNITS_P}, got {p}")
     _require_odd_prime(p)
-    _check_order(p - 1)
     c, d = c % p, d % p
     a1, a2, a3, a4 = 2 * c, c * c + 2 * d, 2 * c * d, d * d  # f^2 = 1 + a1*t + ... + a4*t^4
     h = [0, 0, 0, 1]  # coefficients of 1/f^2 from t^-3 on, so h_n is h[n + 3]
@@ -357,31 +360,32 @@ class CheckSpec:
     """One check id: the params of a cell, how to run a cell, and its sweep grid.
 
     params names a cell's params; a cell needs each of them except those in
-    optional.  run(params, cap) evaluates one cell and yields (part, Outcome)
-    pairs, part None for a one-part cell; cap overrides the permanent size
-    gate (None keeps the default).  grid(bounds) yields the params of each
-    sweep cell, with bounds.cmax and bounds.dmax defaulting to cmax and dmax
-    here; a sweep cannot go without the bound named by needs.  Runners call
-    the checkers, which look the builders and engines up in this module when
-    they run.
+    optional, and a sweep takes their SWEEP_BOUNDS.  limit is the largest p
+    or n a cell takes (MAX_UNITS_P where no matrix is built), and cap is the
+    default size gate of the permanent parts (None where there are none).
+    run(params, cap) evaluates one cell and yields (part, Outcome) pairs, part
+    None for a one-part cell.  grid(bounds) yields the params of each sweep
+    cell, with bounds.cmax and bounds.dmax defaulting to cmax and dmax here.
+    Runners call the checkers, which look the builders and engines up in this
+    module when they run.
     """
 
     params: tuple[str, ...]
     run: Runner
     grid: Callable[[SimpleNamespace], Iterable[dict]]
-    needs: str | None = "pmax"
+    limit: int = MAX_ORDER
     cmax: int | None = None
     dmax: int | None = None
     optional: tuple[str, ...] = ()
+    cap: int | None = None
 
 
 def _one(checker: Callable[..., Outcome]) -> Runner:
     return lambda params, cap: [(None, checker(**params))]
 
 
-def _gated(conj: Callable[[int, int], Iterator[tuple[str, Outcome]]], k: int) -> Runner:
-    """Runner for conjecture k, whose permanent parts default to PER_ORDER_CAPS[k]."""
-    return lambda params, cap: conj(params["p"], PER_ORDER_CAPS[k] if cap is None else cap)
+def _gated(conj: Callable[[int, int], Iterator[tuple[str, Outcome]]]) -> Runner:
+    return lambda params, cap: conj(params["p"], cap)
 
 
 def _prime_grid(b: SimpleNamespace) -> Iterable[dict]:
@@ -428,24 +432,29 @@ _PCD = ("p", "c", "d")
 
 CHECKS: dict[str, CheckSpec] = {
     "eq15": CheckSpec(_PCD, _one(check_full_grid_det_zero), _pcd_grid(clip=True), cmax=6, dmax=6),
-    "p3": CheckSpec(("c", "d"), _one(check_p3_closed_form), _p3_grid, needs=None, cmax=5, dmax=5),
-    "reflection": CheckSpec(_PCD, _one(check_reflection), _pcd_grid(clip=False), cmax=6, dmax=6),
+    "p3": CheckSpec(("c", "d"), _one(check_p3_closed_form), _p3_grid, cmax=5, dmax=5),
+    "reflection": CheckSpec(_PCD, _one(check_reflection), _pcd_grid(clip=False),
+                            limit=MAX_UNITS_P, cmax=6, dmax=6),
     "dp-theorem": CheckSpec(("p", "variant", "c"), _one(check_vanishing_family),
-                            _vanishing_grid, cmax=10, optional=("c",)),
+                            _vanishing_grid, limit=MAX_UNITS_P, cmax=10, optional=("c",)),
     "background": CheckSpec(("p", "which"), _one(check_inverse_form_det), _inverse_form_grid),
     "column-relation": CheckSpec(_PCD, _one(check_column_relation), _pcd_grid(clip=False),
                                  cmax=6, dmax=6),
-    "conj1": CheckSpec(("n", "c", "d"), _one(_conj1), _conj1_grid, needs="nmax", cmax=3, dmax=6),
-    "conj2": CheckSpec(("p",), _one(_conj2), _prime_grid),
-    "conj3": CheckSpec(("p",), _one(_conj3), _prime_grid),
-    "conj4": CheckSpec(("p",), _one(_conj4), _prime_grid),
-    "conj5": CheckSpec(("p",), _gated(_conj5, 5), _prime_grid),
-    "conj6": CheckSpec(("p",), _gated(_conj6, 6), _prime_grid),
-    "conj7": CheckSpec(("p",), _gated(_conj7, 7), _prime_grid),
-    "conj8": CheckSpec(("p",), _gated(_conj8, 8), _prime_grid),
-    "conj9": CheckSpec(("p",), _gated(_conj9, 9), _prime_grid),
+    "conj1": CheckSpec(("n", "c", "d"), _one(_conj1), _conj1_grid, cmax=3, dmax=6),
+    "conj2": CheckSpec(("p",), _one(_conj2), _prime_grid, limit=MAX_UNITS_P),
+    "conj3": CheckSpec(("p",), _one(_conj3), _prime_grid, limit=MAX_UNITS_P),
+    "conj4": CheckSpec(("p",), _one(_conj4), _prime_grid, limit=MAX_UNITS_P),
+    "conj5": CheckSpec(("p",), _gated(_conj5), _prime_grid, cap=PER_ORDER_CAPS[5]),
+    "conj6": CheckSpec(("p",), _gated(_conj6), _prime_grid, cap=PER_ORDER_CAPS[6]),
+    "conj7": CheckSpec(("p",), _gated(_conj7), _prime_grid, cap=PER_ORDER_CAPS[7]),
+    "conj8": CheckSpec(("p",), _gated(_conj8), _prime_grid, cap=PER_ORDER_CAPS[8]),
+    "conj9": CheckSpec(("p",), _gated(_conj9), _prime_grid, cap=PER_ORDER_CAPS[9]),
     "conj10": CheckSpec(("p",), _one(_conj10), _prime_grid),
 }
+
+#: the sweep bounds each cell param brings; a sweep takes no other
+SWEEP_BOUNDS = {"p": ("pmin", "pmax"), "n": ("nmin", "nmax"), "c": ("cmax",), "d": ("dmax",),
+                "variant": ("variant",), "which": ("which",)}
 
 
 def _spec(check_id: str) -> CheckSpec:
@@ -458,26 +467,33 @@ def _spec(check_id: str) -> CheckSpec:
 def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> list[CheckReport]:
     """Evaluate one check cell: one report per part, in the order the parts run.
 
-    This is the one place reports are made, and the one place a cell's params
-    are checked: a param that is None counts as not given, and one the id
-    does not take, or a missing one it needs, raises ValueError naming the
-    flag.  A report's params are the cell's params that are given, plus "part"
-    for a multi-part cell; elapsed_ms is the time spent producing that part's
-    outcome, including any matrix built for it (a matrix shared by two parts
-    counts in the first).
+    This is the one place reports are made, and the one place a cell's input
+    is checked, before any work: a param that is None counts as not given,
+    and one the id does not take, a per_order_cap on an id with no permanent
+    part, a missing param, and a p or n above the id's limit raise ValueError
+    naming the flag.  A report's params are the cell's params that are given,
+    plus "part" for a multi-part cell; elapsed_ms is the time spent producing
+    that part's outcome, including any matrix built for it (a matrix shared by
+    two parts counts in the first).
     """
     spec = _spec(check_id)
     cell = {k: params[k] for k in spec.params if params.get(k) is not None}
     extra = [k for k, v in params.items() if v is not None and k not in spec.params]
+    if per_order_cap is not None and spec.cap is None:
+        extra.append("per-order-cap")
     missing = [k for k in spec.params if k not in cell and k not in spec.optional]
     for problem, names in (("takes no", extra), ("needs", missing)):
         if names:
             raise ValueError(f"{check_id} {problem} --" + ", --".join(names))
+    for name in ("p", "n"):
+        if cell.get(name, 0) > spec.limit:
+            raise ValueError(f"{check_id} takes --{name} up to {spec.limit}, got {cell[name]}")
     if "p" in cell:  # every statement in p is about an odd prime p
         _require_odd_prime(cell["p"])
+    cap = spec.cap if per_order_cap is None else per_order_cap  # a cap of 0 is a cap
     reports = []
     t0 = time.perf_counter()
-    for part, (computed, expected, verdict) in spec.run(cell, per_order_cap):
+    for part, (computed, expected, verdict) in spec.run(cell, cap):
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         record = cell if part is None else {**cell, "part": part}
         reports.append(CheckReport(check_id, record, computed, expected, verdict, elapsed_ms))
@@ -485,43 +501,36 @@ def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> 
     return reports
 
 
-def sweep_cells(
-    check_id: str,
-    pmin: int = 3,
-    pmax: int | None = None,
-    nmin: int = 5,
-    nmax: int | None = None,
-    cmax: int | None = None,
-    dmax: int | None = None,
-    variant: str | None = None,
-    which: str | None = None,
-) -> list[tuple[str, dict]]:
+def sweep_cells(check_id: str, **bounds: int | str | None) -> list[tuple[str, dict]]:
     """Deterministic parameter grid for a sweep over one check id.
 
-    This is the one place a grid's bounds are checked: a bound the id needs
-    and does not get, a lower bound above its upper bound, nmin < 1, a
-    negative cmax or dmax, and a grid of more than MAX_CELLS cells each raise
+    This is the one place a grid's bounds are checked.  It takes the
+    SWEEP_BOUNDS of the id's params; None counts as not given, and pmin, nmin,
+    cmax and dmax default to 3, 5 and the id's.  Any other bound, a missing
+    pmax or nmax, one above the id's limit or below its lower bound, nmin < 1,
+    a negative cmax or dmax, and a grid of more than MAX_CELLS cells each raise
     ValueError; the grid is never built in full.  Bounds that hold no prime
     give an empty grid.
     """
     spec = _spec(check_id)
-    bounds = SimpleNamespace(
-        pmin=pmin, pmax=pmax, nmin=nmin, nmax=nmax, variant=variant, which=which,
-        cmax=spec.cmax if cmax is None else cmax, dmax=spec.dmax if dmax is None else dmax,
-    )
-    if spec.needs is not None and getattr(bounds, spec.needs) is None:
-        raise ValueError(f"{check_id} sweep needs {spec.needs}")
-    for low, high in (("pmin", "pmax"), ("nmin", "nmax")):
-        lo, hi = getattr(bounds, low), getattr(bounds, high)
-        if hi is not None and lo > hi:
+    taken = [b for k in spec.params for b in SWEEP_BOUNDS[k]]
+    extra = [k for k, v in bounds.items() if v is not None and k not in taken]
+    if extra:
+        raise ValueError(f"{check_id} sweep takes no --" + ", --".join(extra))
+    defaults = {"pmin": 3, "nmin": 5, "cmax": spec.cmax, "dmax": spec.dmax}
+    b = {k: defaults.get(k) if bounds.get(k) is None else bounds[k] for k in taken}
+    for low, high in (SWEEP_BOUNDS[k] for k in ("p", "n") if k in spec.params):
+        lo, hi = b[low], b[high]
+        if hi is None:
+            raise ValueError(f"{check_id} sweep needs {high}")
+        if lo > hi:
             raise ValueError(f"{low} {lo} is above {high} {hi}")
-        if (hi or 0) > MAX_ORDER:
-            raise ValueError(f"{high} must be at most {MAX_ORDER} (the largest matrix order)")
+        if hi > spec.limit:
+            raise ValueError(f"{check_id} sweep takes --{high} up to {spec.limit}, got {hi}")
     for name, least in (("nmin", 1), ("cmax", 0), ("dmax", 0)):
-        value = getattr(bounds, name)
-        if value is not None and value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-    grid = itertools.islice(spec.grid(bounds), MAX_CELLS + 1)
+        if b.get(name, least) < least:
+            raise ValueError(f"{name} must be >= {least}, got {b[name]}")
+    grid = itertools.islice(spec.grid(SimpleNamespace(**b)), MAX_CELLS + 1)
     cells = [(check_id, params) for params in grid]
     if len(cells) > MAX_CELLS:
         raise ValueError(f"{check_id} sweep has more than {MAX_CELLS} cells; narrow its bounds")

@@ -230,34 +230,45 @@ def _no_more_than_1_gib():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def run_under_1_gib(argv):
+    return subprocess.run(
+        [sys.executable, "-m", "congruence_lab", *argv], capture_output=True, text=True,
+        timeout=30, preexec_fn=_no_more_than_1_gib,
+    )
+
+
 @pytest.mark.parametrize("argv", [
-    ["check", "conj", "--id", "3", "--p", "20011"],
-    ["sweep", "conj", "--id", "3", "--pmax", "20011"],
+    ["check", "conj", "--id", "5", "--p", "20011"],
+    ["sweep", "conj", "--id", "5", "--pmax", "20011"],
     ["sweep", "conj", "--id", "1", "--nmax", "4099"],
-    ["check", "reflection", "--p", "2053", "--c", "1", "--d", "2"],
+    ["check", "eq15", "--p", "2053", "--c", "1", "--d", "2"],
 ])
 def test_orders_beyond_max_order_are_refused_before_allocating(argv):
     # an order-20010 matrix would take about 3 GiB; under a 1 GiB address-space
     # limit, allocating it fails with a traceback instead of the one-line error
-    proc = subprocess.run(
-        [sys.executable, "-m", "congruence_lab", *argv], capture_output=True, text=True,
-        timeout=30, preexec_fn=_no_more_than_1_gib,
-    )
+    proc = run_under_1_gib(argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "2048" in proc.stderr
 
 
+def test_a_matrix_free_check_takes_p_beyond_max_order():
+    # conj3 builds no matrix, so p = 20011 runs in O(p) under a 1 GiB limit
+    proc = run_under_1_gib(["check", "conj", "--id", "3", "--p", "20011", "--format", "jsonl"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    record = json.loads(proc.stdout)
+    assert (record["check_id"], record["params"]) == ("conj3", {"p": 20011})
+    assert record["verdict"] == "pass"  # 20011 = 3 (mod 8), so the symbol is not -1
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "p3", "--cmax", "20000", "--dmax", "20000"],
     ["sweep", "reflection", "--pmax", "13", "--cmax", "5000", "--dmax", "5000"],
+    ["sweep", "reflection", "--pmax", "100000"],  # 49 cells for each of 9591 odd primes
 ])
 def test_grids_beyond_max_cells_are_refused_before_building(argv):
-    # built in full, either grid would outgrow a 1 GiB address space
-    proc = subprocess.run(
-        [sys.executable, "-m", "congruence_lab", *argv], capture_output=True, text=True,
-        timeout=30, preexec_fn=_no_more_than_1_gib,
-    )
+    # built in full, the first two grids would outgrow a 1 GiB address space
+    proc = run_under_1_gib(argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert f"more than {verify.MAX_CELLS} cells" in proc.stderr
@@ -459,6 +470,13 @@ def test_check_per_order_cap_flag(capsys):
                        "--per-order-cap", "16", "--format", "jsonl")
     verdicts = [json.loads(line)["verdict"] for line in out.splitlines()]
     assert verdicts == ["pass", "pass"]
+    # a cap of 0 is a cap, not the default: even the order-6 permanent at p = 7 is gated
+    code, out, _ = run(capsys, "check", "conj", "--id", "5", "--p", "7",
+                       "--per-order-cap", "0", "--format", "jsonl")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [r["verdict"] for r in records] == ["inconclusive", "pass"]
+    assert records[0]["expected"].endswith("exceeds the size gate 0")
 
 
 def test_check_missing_params(capsys):
@@ -614,6 +632,21 @@ def test_sweep_rejects_nonpositive_jobs(capsys):
     ("sweep conj --id 1 --nmin 11 --nmax 9", "nmin 11 is above nmax 9"),
     ("sweep conj --id 1 --nmin -3 --nmax 9", "nmin must be >= 1, got -3"),
     ("sweep background --pmax 13 --id 2", "background takes no --id"),
+    ("sweep eq15 --pmax 13 --nmax 9", "eq15 sweep takes no --nmax"),
+    ("sweep conj --id 2 --pmax 13 --cmax 3", "conj2 sweep takes no --cmax"),
+    ("sweep conj --id 1 --pmin 3 --pmax 13 --nmax 9", "conj1 sweep takes no --pmin, --pmax"),
+    ("sweep p3 --pmax 13", "p3 sweep takes no --pmax"),
+    ("sweep background --pmax 13 --variant two_two", "background sweep takes no --variant"),
+    ("sweep dp-theorem --pmax 13 --dmax 2 --which full_range_ij",
+     "dp-theorem sweep takes no --dmax, --which"),
+    ("check conj --id 10 --p 7 --per-order-cap 3", "conj10 takes no --per-order-cap"),
+    ("check eq15 --p 5 --c 1 --d 1 --per-order-cap 0", "eq15 takes no --per-order-cap"),
+    ("sweep conj --id 2 --pmax 13 --per-order-cap 3", "conj2 takes no --per-order-cap"),
+    ("check conj --id 3 --p 100003", "conj3 takes --p up to 100000, got 100003"),
+    ("check reflection --p 100003 --c 1 --d 2", "reflection takes --p up to 100000, got 100003"),
+    ("sweep conj --id 2 --pmax 100003", "conj2 sweep takes --pmax up to 100000, got 100003"),
+    ("sweep dp-theorem --pmin 100003 --pmax 100019",
+     "dp-theorem sweep takes --pmax up to 100000, got 100019"),
 ])
 def test_flags_a_cell_or_grid_cannot_take_are_refused(capsys, command, message):
     """Each refusal is one error line, exit 2, and nothing on stdout (not even a CSV header)."""

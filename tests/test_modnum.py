@@ -317,3 +317,11 @@ def test_padic_valuation_saturates():
 def test_padic_valuation_respects_cap_window():
     # x is only known mod p^cap, so x = p^2 * u is reported through that window
     assert padic_valuation(5**2 * 6, 5, 5) == (2, 1)
+
+
+def test_legendre_matches_euler_criterion():
+    # legendre is the Jacobi symbol at an odd prime; Euler's criterion is the independent route
+    for p in odd_primes_in(3, 199):
+        for a in range(p):
+            euler = pow(a, (p - 1) // 2, p)
+            assert legendre(a, p) == (-1 if euler == p - 1 else euler), (a, p)

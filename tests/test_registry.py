@@ -9,7 +9,14 @@ import pytest
 from congruence_lab import cli
 from congruence_lab.verify import CHECKS
 
-SWEEP_BOUNDS = ["--pmin", "7", "--pmax", "13", "--nmax", "7", "--cmax", "0", "--dmax", "2"]
+#: the sweep flags each cell param brings, at bounds that keep every grid small
+SWEEP_BOUNDS = {"p": ["--pmin", "7", "--pmax", "13"], "n": ["--nmax", "7"],
+                "c": ["--cmax", "0"], "d": ["--dmax", "2"]}
+
+
+def sweep_bounds(check_id):
+    """The flags of SWEEP_BOUNDS that check_id's sweep takes, and no others."""
+    return [flag for k in CHECKS[check_id].params for flag in SWEEP_BOUNDS.get(k, [])]
 
 
 def cli_route(check_id):
@@ -46,7 +53,7 @@ def test_positional_choices_come_from_the_registry(subcommand):
 @pytest.mark.parametrize("check_id", list(CHECKS))
 def test_sweep_and_check_agree_on_each_cell(capsys, check_id):
     name, extra = cli_route(check_id)
-    code, records = jsonl(capsys, ["sweep", name, *extra, *SWEEP_BOUNDS])
+    code, records = jsonl(capsys, ["sweep", name, *extra, *sweep_bounds(check_id)])
     assert code == 0 and records
     cells: dict[str, list[dict]] = {}
     for r in records:

@@ -13,6 +13,7 @@ from congruence_lab.modnum import odd_primes_in
 from congruence_lab.verify import (
     FAIL,
     INCONCLUSIVE,
+    MAX_UNITS_P,
     NOT_APPLICABLE,
     PASS,
     PER_ORDER_CAPS,
@@ -175,8 +176,14 @@ def test_units_grid_det_uses_only_the_residues_of_c_and_d():
 def test_units_grid_det_refuses_a_non_prime_p_and_a_large_order():
     with pytest.raises(ValueError, match="odd prime"):
         units_grid_det(9, 1, 1)
-    with pytest.raises(ValueError, match=f"order must be in 1..{MAX_ORDER}, got 20010"):
-        units_grid_det(20011, 2, -1)
+    with pytest.raises(ValueError, match=f"p up to {MAX_UNITS_P}, got 100003"):
+        units_grid_det(100003, 2, -1)
+
+
+def test_units_grid_det_takes_p_up_to_max_units_p():
+    # no matrix and no MAX_ORDER: the largest prime below the bound still runs in O(p)
+    assert MAX_UNITS_P == 10**5
+    assert units_grid_det(99991, 2, -1) == 0  # conj3 at p = 7 (mod 8): not a -1 symbol
 
 
 def test_units_grid_checks_build_no_matrix(monkeypatch):
@@ -497,7 +504,9 @@ def test_sweep_cells_required_bounds():
 
 
 def test_default_sweep_grids_fit_under_max_cells():
-    sizes = {check_id: len(sweep_cells(check_id, pmax=MAX_ORDER, nmax=MAX_ORDER))
+    # each sweep gets the upper bound its id takes, at MAX_ORDER; p3 takes none
+    sizes = {check_id: len(sweep_cells(check_id, **{f"{k}max": MAX_ORDER for k in "pn"
+                                                    if k in CHECKS[check_id].params}))
              for check_id in CHECKS}
     # the largest: conj1 over odd n to 2048, then reflection and column-relation
     assert (sizes["conj1"], sizes["reflection"]) == (28616, 15092)
@@ -540,10 +549,54 @@ def test_run_check_ignores_none_params():
     ("p3", {"cmax": -3}, "cmax must be >= 0, got -3"),
     ("reflection", {"pmax": 7, "dmax": -1}, "dmax must be >= 0, got -1"),
     ("dp-theorem", {"pmax": 7, "cmax": -1}, "cmax must be >= 0, got -1"),
+    ("eq15", {"pmax": 13, "nmax": 9}, "eq15 sweep takes no --nmax"),
+    ("conj2", {"pmax": 13, "cmax": 3}, "conj2 sweep takes no --cmax"),
+    ("p3", {"pmax": 13, "nmin": 5}, "p3 sweep takes no --pmax, --nmin"),
+    ("reflection", {"pmax": 13, "variant": "two_two"}, "reflection sweep takes no --variant"),
+    ("dp-theorem", {"pmax": 13, "which": "half_range_sq"}, "dp-theorem sweep takes no --which"),
+    ("conj1", {"pmax": 7}, "conj1 sweep takes no --pmax"),  # named before the missing nmax
 ])
 def test_sweep_cells_refuses_bounds_that_cannot_hold_a_cell(check_id, bounds, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         sweep_cells(check_id, **bounds)
+
+
+def test_sweep_cells_ignores_none_bounds():
+    assert sweep_cells("p3", pmin=None, pmax=None, nmax=None, cmax=0, dmax=0) == [
+        ("p3", {"c": 0, "d": 0})]
+    assert sweep_cells("conj2", pmin=None, pmax=5, cmax=None) == [
+        ("conj2", {"p": 3}), ("conj2", {"p": 5})]
+
+
+def test_each_id_states_its_limit_and_its_permanent_cap():
+    matrix_free = {"reflection", "dp-theorem", "conj2", "conj3", "conj4"}
+    assert {k: s.limit for k, s in CHECKS.items()} == {
+        k: MAX_UNITS_P if k in matrix_free else MAX_ORDER for k in CHECKS}
+    assert {k: s.cap for k, s in CHECKS.items() if s.cap is not None} == {
+        f"conj{k}": cap for k, cap in PER_ORDER_CAPS.items()}
+
+
+@pytest.mark.parametrize("check_id", [k for k in CHECKS if k != "p3"])
+def test_sweep_and_check_refuse_p_or_n_above_the_id_limit(check_id):
+    spec = CHECKS[check_id]
+    size = "p" if "p" in spec.params else "n"
+    got = f"up to {spec.limit}, got {spec.limit + 1}$"
+    with pytest.raises(ValueError, match=f"^{check_id} sweep takes --{size}max {got}"):
+        sweep_cells(check_id, **{f"{size}max": spec.limit + 1})
+    params = {size: spec.limit + 1, "c": 1, "d": 1, "variant": "two_two", "which": "half_range_sq"}
+    with pytest.raises(ValueError, match=f"^{check_id} takes --{size} {got}"):
+        run_check(check_id, {k: v for k, v in params.items() if k in spec.params})
+    # the limit itself is taken
+    assert sweep_cells(check_id, **{f"{size}min": spec.limit - 200, f"{size}max": spec.limit})
+
+
+def test_per_order_cap_belongs_to_ids_with_a_permanent_part():
+    for check_id, spec in CHECKS.items():
+        if spec.cap is None:
+            with pytest.raises(ValueError, match=f"^{check_id} takes no --per-order-cap$"):
+                run_check(check_id, {}, per_order_cap=3)
+    with pytest.raises(ValueError, match="^conj10 takes no --per-order-cap$"):
+        run_sweep(sweep_cells("conj10", pmax=11), per_order_cap=17)
 
 
 def test_sweep_cells_accepts_equal_and_zero_bounds():
