@@ -28,10 +28,10 @@ CHECK_NAMES = tuple(dict.fromkeys(
     "conj" if check_id.removeprefix("conj").isdigit() else check_id for check_id in verify.CHECKS
 ))
 
-#: `check` flags forwarded to verify.run_check when given
-CELL_FLAGS = ("p", "n", "c", "d", "variant", "which")
-#: `sweep` flags forwarded to verify.sweep_cells when given
-SWEEP_FLAGS = ("pmin", "pmax", "nmin", "nmax", "cmax", "dmax", "variant", "which")
+#: `check` flags forwarded to verify.run_check when given: every cell param
+CELL_FLAGS = tuple(verify.SWEEP_BOUNDS)
+#: `sweep` flags forwarded to verify.sweep_cells when given: every sweep bound
+SWEEP_FLAGS = tuple(b for bounds in verify.SWEEP_BOUNDS.values() for b in bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cells = verify.sweep_cells(_check_id(args), **_given(args, SWEEP_FLAGS))
+    cells = verify.sweep_cells(_check_id(args), per_order_cap=args.per_order_cap,
+                               **_given(args, SWEEP_FLAGS))
     reports = verify.run_sweep(cells, jobs=args.jobs, per_order_cap=args.per_order_cap)
     emit_reports(reports, args.format, sys.stdout)
     return verify.exit_code(reports)
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run a single check")
     s = sub.add_parser("sweep", help="run a check over a parameter range")
     for cmd, flags in ((c, CELL_FLAGS), (s, SWEEP_FLAGS)):
-        for name in flags[:-2]:  # --variant and --which take choices and come below
+        for name in (n for n in flags if n not in verify.CHOICES):  # CHOICES follow --id
             cmd.add_argument(f"--{name}", type=int, default=None)
     s.add_argument("--jobs", type=int, default=1,
                    help="parallel workers (changes wall time only, never output)")
@@ -287,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd, handler in ((c, cmd_check), (s, cmd_sweep)):
         cmd.add_argument("check", choices=CHECK_NAMES)
         cmd.add_argument("--id", type=int, default=None, help="conjecture number for 'conj'")
-        cmd.add_argument("--variant", choices=verify.VANISHING_VARIANTS, default=None)
-        cmd.add_argument("--which", choices=verify.INVERSE_FORM_WHICH, default=None)
+        for name, values in verify.CHOICES.items():
+            cmd.add_argument(f"--{name}", choices=values, default=None)
         cmd.add_argument("--per-order-cap", type=int, default=None,
                          help="override the permanent size gate")
         cmd.add_argument("--format", choices=("jsonl", "csv", "tty"), default="tty",

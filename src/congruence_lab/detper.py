@@ -265,15 +265,10 @@ def factor_checkerboard(matrix: Matrix, mode: str) -> int:
     a11 = int(a[0, 0])
     if n == 1:
         return a11 if matrix.ctx is None else matrix.ctx.reduce(a11)
-    if n % 2 == 0:
-        m = n // 2
-        # 0-based: even 1-based rows -> 1,3,..;  odd 1-based cols -> 0,2,..
-        b, c = Matrix(a[1::2, 0::2], matrix.ctx), Matrix(a[0::2, 1::2], matrix.ctx)
-        scale = 1
-    else:
-        m = (n - 1) // 2
-        b, c = Matrix(a[1::2, 2::2], matrix.ctx), Matrix(a[2::2, 1::2], matrix.ctx)
-        scale = a11
+    m, odd = divmod(n, 2)
+    # 0-based: even 1-based rows -> 1,3,..;  odd 1-based cols -> 0,2,.. (2,4,.. past a11)
+    b, c = Matrix(a[1::2, 2 * odd::2], matrix.ctx), Matrix(a[2 * odd::2, 1::2], matrix.ctx)
+    scale = a11 if odd else 1
     if mode == "per":
         value = scale * per_ryser(b) * per_ryser(c)
     else:

@@ -285,11 +285,11 @@ def prime_indicator_matrix(n: int) -> Matrix:
     return Matrix(rows, None)
 
 
-def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Matrix:
-    """Random exact-integer matrix supported on the checkerboard pattern.
+def _random_support_walk(n: int, seed: int, mirror: int | None) -> Matrix:
+    """Random ints in [-9, 9] on checkerboard_support(n), drawn in row-major order.
 
-    Entries are small ints in [-9, 9]; cells with i+j even (except (1,1)) are
-    zero.  With symmetric=True the matrix equals its transpose.
+    With mirror None every cell is drawn.  Otherwise a cell below the diagonal
+    is mirror times the cell above it, and mirror -1 leaves the diagonal zero.
     """
     _check_order(n)
     rng = random.Random(seed)
@@ -297,30 +297,24 @@ def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Ma
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            if not support[i, j]:
+            if not support[i, j] or (mirror == -1 and i == j):
                 continue
-            if symmetric and j < i:
-                rows[i][j] = rows[j][i]
-            else:
-                rows[i][j] = rng.randint(-9, 9)
+            rows[i][j] = rng.randint(-9, 9) if mirror is None or j >= i else mirror * rows[j][i]
     return Matrix(rows, None)
+
+
+def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Matrix:
+    """Random exact-integer matrix supported on the checkerboard pattern.
+
+    Entries are small ints in [-9, 9]; cells with i+j even (except (1,1)) are
+    zero.  With symmetric=True the matrix equals its transpose.
+    """
+    return _random_support_walk(n, seed, 1 if symmetric else None)
 
 
 def random_skew_checkerboard_matrix(m: int, seed: int) -> Matrix:
     """Random skew-symmetric checkerboard-supported matrix of even order 2m."""
-    n = 2 * m
-    _check_order(n)
-    rng = random.Random(seed)
-    support = checkerboard_support(n)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not support[i, j]:
-                continue
-            v = rng.randint(-9, 9)
-            rows[i][j] = v
-            rows[j][i] = -v
-    return Matrix(rows, None)
+    return _random_support_walk(2 * m, seed, -1)
 
 
 def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:

@@ -55,6 +55,8 @@ MAX_UNITS_P = 10**5
 
 VANISHING_VARIANTS = ("c_minus1", "two_two", "six_six")
 INVERSE_FORM_WHICH = ("half_range_sq", "full_range_ij")
+#: the cell params that name one of a few values; every other param is an int
+CHOICES = {"variant": VANISHING_VARIANTS, "which": INVERSE_FORM_WHICH}
 
 
 @dataclass
@@ -150,8 +152,6 @@ def check_vanishing_family(p: int, variant: str, c: int | None = None) -> Outcom
     p = 3 (mod 4);  six_six: (c, d) = (6, 6) for p = +-1 (mod 12).  All three
     are stated for p > 3.  c is given exactly when the variant is c_minus1.
     """
-    if variant not in VANISHING_VARIANTS:
-        raise ValueError(f"variant must be one of {VANISHING_VARIANTS}, got {variant!r}")
     if (variant == "c_minus1") != (c is not None):
         raise ValueError(f"variant {variant} needs a value for c" if c is None
                          else f"variant {variant} takes no c")
@@ -201,8 +201,6 @@ def check_inverse_form_det(p: int, which: str) -> Outcome:
     Mod p, 1/x = x^(p-2), so the full-range matrix is the units grid at
     (c, d) = (-1, 1), and its det is units_grid_det(p, -1, 1); no matrix is built.
     """
-    if which not in INVERSE_FORM_WHICH:
-        raise ValueError(f"which must be one of {INVERSE_FORM_WHICH}, got {which!r}")
     if which == "half_range_sq" and p % 4 != 3:
         return _na("needs p = 3 (mod 4)")
     if which == "full_range_ij" and p % 3 != 2:
@@ -379,6 +377,10 @@ class CheckSpec:
     optional: tuple[str, ...] = ()
     cap: int | None = None
 
+    @property
+    def bounds(self) -> tuple[str, ...]:
+        return tuple(b for k in self.params for b in SWEEP_BOUNDS[k])
+
 
 def _one(checker: Callable[..., Outcome]) -> Runner:
     return lambda params, cap: [(None, checker(**params))]
@@ -457,34 +459,45 @@ SWEEP_BOUNDS = {"p": ("pmin", "pmax"), "n": ("nmin", "nmax"), "c": ("cmax",), "d
                 "variant": ("variant",), "which": ("which",)}
 
 
-def _spec(check_id: str) -> CheckSpec:
-    try:
-        return CHECKS[check_id]
-    except KeyError:
-        raise ValueError(f"unknown check id {check_id!r}") from None
+def _admit(check_id: str, given: dict, per_order_cap: int | None, sweep: bool) -> CheckSpec:
+    """The spec of check_id, once given names only what the id takes.
+
+    given holds a cell's params, or with sweep its SWEEP_BOUNDS; None is not
+    given.  An unknown id, a name the id does not take, a per_order_cap on an
+    id with no permanent part, and a value outside CHOICES raise ValueError.
+    """
+    spec = CHECKS.get(check_id)
+    if spec is None:
+        raise ValueError(f"unknown check id {check_id!r}")
+    taken = spec.bounds if sweep else spec.params
+    extra = [k for k, v in given.items() if v is not None and k not in taken]
+    if sweep and extra:
+        raise ValueError(f"{check_id} sweep takes no --" + ", --".join(extra))
+    if per_order_cap is not None and spec.cap is None:
+        extra.append("per-order-cap")
+    if extra:
+        raise ValueError(f"{check_id} takes no --" + ", --".join(extra))
+    for name, values in CHOICES.items():
+        if given.get(name) not in (None, *values):
+            raise ValueError(f"{name} must be one of {values}, got {given[name]!r}")
+    return spec
 
 
 def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> list[CheckReport]:
     """Evaluate one check cell: one report per part, in the order the parts run.
 
-    This is the one place reports are made, and the one place a cell's input
-    is checked, before any work: a param that is None counts as not given,
-    and one the id does not take, a per_order_cap on an id with no permanent
-    part, a missing param, and a p or n above the id's limit raise ValueError
-    naming the flag.  A report's params are the cell's params that are given,
-    plus "part" for a multi-part cell; elapsed_ms is the time spent producing
-    that part's outcome, including any matrix built for it (a matrix shared by
-    two parts counts in the first).
+    This is the one place reports are made.  Before any work, besides what
+    _admit refuses, a missing param and a p or n above the id's limit raise
+    ValueError naming the flag.  A report's params are the cell's params that
+    are given, plus "part" for a multi-part cell; elapsed_ms is the time spent
+    producing that part's outcome, including any matrix built for it (a matrix
+    shared by two parts counts in the first).
     """
-    spec = _spec(check_id)
+    spec = _admit(check_id, params, per_order_cap, sweep=False)
     cell = {k: params[k] for k in spec.params if params.get(k) is not None}
-    extra = [k for k, v in params.items() if v is not None and k not in spec.params]
-    if per_order_cap is not None and spec.cap is None:
-        extra.append("per-order-cap")
     missing = [k for k in spec.params if k not in cell and k not in spec.optional]
-    for problem, names in (("takes no", extra), ("needs", missing)):
-        if names:
-            raise ValueError(f"{check_id} {problem} --" + ", --".join(names))
+    if missing:
+        raise ValueError(f"{check_id} needs --" + ", --".join(missing))
     for name in ("p", "n"):
         if cell.get(name, 0) > spec.limit:
             raise ValueError(f"{check_id} takes --{name} up to {spec.limit}, got {cell[name]}")
@@ -501,24 +514,20 @@ def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> 
     return reports
 
 
-def sweep_cells(check_id: str, **bounds: int | str | None) -> list[tuple[str, dict]]:
+def sweep_cells(check_id: str, *, per_order_cap: int | None = None,
+                **bounds: int | str | None) -> list[tuple[str, dict]]:
     """Deterministic parameter grid for a sweep over one check id.
 
-    This is the one place a grid's bounds are checked.  It takes the
-    SWEEP_BOUNDS of the id's params; None counts as not given, and pmin, nmin,
-    cmax and dmax default to 3, 5 and the id's.  Any other bound, a missing
-    pmax or nmax, one above the id's limit or below its lower bound, nmin < 1,
-    a negative cmax or dmax, and a grid of more than MAX_CELLS cells each raise
-    ValueError; the grid is never built in full.  Bounds that hold no prime
-    give an empty grid.
+    The bounds are checked here, before the grid, even an empty one (bounds
+    that hold no prime).  pmin, nmin, cmax and dmax default to 3, 5 and the
+    id's.  Besides what _admit refuses, a missing pmax or nmax, one above the
+    id's limit or below its lower bound, nmin < 1, a negative cmax or dmax,
+    and a grid of more than MAX_CELLS cells raise ValueError; the grid is
+    never built in full.
     """
-    spec = _spec(check_id)
-    taken = [b for k in spec.params for b in SWEEP_BOUNDS[k]]
-    extra = [k for k, v in bounds.items() if v is not None and k not in taken]
-    if extra:
-        raise ValueError(f"{check_id} sweep takes no --" + ", --".join(extra))
+    spec = _admit(check_id, bounds, per_order_cap, sweep=True)
     defaults = {"pmin": 3, "nmin": 5, "cmax": spec.cmax, "dmax": spec.dmax}
-    b = {k: defaults.get(k) if bounds.get(k) is None else bounds[k] for k in taken}
+    b = {k: defaults.get(k) if bounds.get(k) is None else bounds[k] for k in spec.bounds}
     for low, high in (SWEEP_BOUNDS[k] for k in ("p", "n") if k in spec.params):
         lo, hi = b[low], b[high]
         if hi is None:

@@ -338,6 +338,12 @@ PINNED = [
     ("build checkerboard --n 3000 --seed 1", 2, "", "error: order must be in 1..2048, got 3000\n"),
     ("build skewcheckerboard --m 2 --seed 1", 0,
      "4 0\n0 -5 0 9\n5 0 -7 0\n0 7 0 -1\n-9 0 1 0\n", ""),
+    ("build checkerboard --n 7 --seed 3 --symmetric", 0,
+     "7 0\n-2 9 0 8 0 -5 0\n9 0 2 0 6 0 9\n0 2 0 -7 0 -9 0\n8 0 -7 0 6 0 -1\n"
+     "0 6 0 6 0 8 0\n-5 0 -9 0 8 0 -2\n0 9 0 -1 0 -2 0\n", ""),
+    ("build skewcheckerboard --m 3 --seed 7", 0,
+     "6 0\n0 1 0 -5 0 3\n-1 0 -8 0 -7 0\n0 8 0 8 0 -6\n5 0 -8 0 2 0\n"
+     "0 7 0 -2 0 9\n-3 0 6 0 -9 0\n", ""),
     ("build skewcheckerboard --m 0 --seed 1", 2, "", "error: order must be in 1..2048, got 0\n"),
     ("build polyeval --n 4 --coeffs [[1,2],[0,1]]", 0,
      "4 0\n4 7 10 13\n5 9 13 17\n6 11 16 21\n7 13 19 25\n", ""),
@@ -642,6 +648,8 @@ def test_sweep_rejects_nonpositive_jobs(capsys):
     ("check conj --id 10 --p 7 --per-order-cap 3", "conj10 takes no --per-order-cap"),
     ("check eq15 --p 5 --c 1 --d 1 --per-order-cap 0", "eq15 takes no --per-order-cap"),
     ("sweep conj --id 2 --pmax 13 --per-order-cap 3", "conj2 takes no --per-order-cap"),
+    ("sweep conj --id 10 --pmin 24 --pmax 28 --per-order-cap 3",  # no prime: refused all the same
+     "conj10 takes no --per-order-cap"),
     ("check conj --id 3 --p 100003", "conj3 takes --p up to 100000, got 100003"),
     ("check reflection --p 100003 --c 1 --d 2", "reflection takes --p up to 100000, got 100003"),
     ("sweep conj --id 2 --pmax 100003", "conj2 sweep takes --pmax up to 100000, got 100003"),

@@ -528,6 +528,10 @@ def test_sweep_cells_refuses_grids_over_max_cells():
     ("conj1", {"n": 5}, "conj1 needs --c, --d"),
     ("dp-theorem", {"p": 7, "c": 2}, "dp-theorem needs --variant"),
     ("conj1", {"p": 5}, "conj1 takes no --p"),  # an extra param is named before a missing one
+    ("dp-theorem", {"p": 7, "variant": "one_one"},
+     r"variant must be one of \('c_minus1', 'two_two', 'six_six'\), got 'one_one'"),
+    ("background", {"p": 7, "which": "full"},
+     r"which must be one of \('half_range_sq', 'full_range_ij'\), got 'full'"),
 ])
 def test_run_check_refuses_params_the_id_does_not_take_or_needs(check_id, params, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -555,6 +559,12 @@ def test_run_check_ignores_none_params():
     ("reflection", {"pmax": 13, "variant": "two_two"}, "reflection sweep takes no --variant"),
     ("dp-theorem", {"pmax": 13, "which": "half_range_sq"}, "dp-theorem sweep takes no --which"),
     ("conj1", {"pmax": 7}, "conj1 sweep takes no --pmax"),  # named before the missing nmax
+    # refused before the grid, so also where the bounds hold no prime
+    ("dp-theorem", {"pmin": 24, "pmax": 28, "variant": "bogus"},
+     r"variant must be one of \('c_minus1', 'two_two', 'six_six'\), got 'bogus'"),
+    ("background", {"pmin": 24, "pmax": 28, "which": "bogus"},
+     r"which must be one of \('half_range_sq', 'full_range_ij'\), got 'bogus'"),
+    ("conj10", {"pmin": 24, "pmax": 28, "per_order_cap": 3}, "conj10 takes no --per-order-cap"),
 ])
 def test_sweep_cells_refuses_bounds_that_cannot_hold_a_cell(check_id, bounds, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
