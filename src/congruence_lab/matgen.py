@@ -53,13 +53,20 @@ INT64_MODULUS_LIMIT = 2**31
 #: the largest order any builder makes; larger requests are refused before allocating
 MAX_ORDER = 2048
 
-#: the most bits exact-mode quad_form_matrix entries may take, estimated before building
+#: the most bits exact-mode builder entries may take, estimated before building
 MAX_EXACT_BITS = 2**29
 
 
 def _check_order(n: int, what: str = "order") -> None:
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"{what} must be in 1..{MAX_ORDER}, got {n}")
+
+
+def _check_exact_bits(bits: int, remedy: str) -> None:
+    """Refuse an exact-mode build whose entries would take more than MAX_EXACT_BITS bits."""
+    if bits > MAX_EXACT_BITS:
+        raise ValueError(f"exact entries would take about {bits} bits, "
+                         f"more than {MAX_EXACT_BITS}; {remedy}")
 
 
 def entry_dtype(ctx: ModCtx | None) -> np.dtype:
@@ -162,25 +169,18 @@ def quad_form_matrix(
     if n < 1:
         raise ValueError(f"empty index range for p_or_n = {p_or_n}")
     _check_order(n)
-    indices = list(range(start, p_or_n))
-
     if ctx is None:
         bits = n * n * exponent * ((1 + abs(c) + abs(d)) * (p_or_n - 1) ** 2).bit_length()
-        if bits > MAX_EXACT_BITS:
-            raise ValueError(
-                f"exact entries would take about {bits} bits, more than {MAX_EXACT_BITS}; "
-                f"give a modulus"
-            )
-
-    if entry_dtype(ctx) == np.int64:
-        m = ctx.modulus
-        idx = np.array(indices, dtype=np.int64)
-        sq = idx * idx % m
-        base = (sq[:, None] + (c % m) * np.outer(idx, idx) + (d % m) * sq[None, :]) % m
-        return Matrix(_pow_mod_array(base, exponent, m), ctx)
+        _check_exact_bits(bits, "give a modulus")
+    idx = np.arange(start, p_or_n).astype(entry_dtype(ctx))
     m = None if ctx is None else ctx.modulus
-    rows = [[pow(i * i + c * i * j + d * j * j, exponent, m) for j in indices] for i in indices]
-    return Matrix(rows, ctx)
+    sq = idx * idx
+    if m is not None:  # then sq < 2**31, c*i*j < 2**53 and d*sq < 2**62: the int64 sum is exact
+        c, d, sq = c % m, d % m, sq % m
+    base = sq[:, None] + c * np.outer(idx, idx) + d * sq[None, :]
+    if idx.dtype == np.int64:
+        return Matrix(_pow_mod_array(base, exponent, m), ctx)
+    return Matrix(np.frompyfunc(pow, 3, 1)(base, exponent, m), ctx)
 
 
 def _ratio_matrix(num: np.ndarray | None, den: np.ndarray, ctx: ModCtx) -> Matrix:
@@ -280,9 +280,9 @@ def inverse_form_matrix(p: int, which: str) -> Matrix:
 def prime_indicator_matrix(n: int) -> Matrix:
     """0/1 matrix with 1 at (i, j) iff i + j is prime (1-based indices)."""
     _check_order(n)
-    prime = [is_prime(s) for s in range(2 * n + 1)]
-    rows = [[1 if prime[i + j] else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return Matrix(rows, None)
+    prime = np.array([is_prime(s) for s in range(2 * n + 1)], dtype=np.int64)
+    idx = np.arange(1, n + 1)
+    return Matrix(prime[np.add.outer(idx, idx)], None)
 
 
 def _random_support_walk(n: int, seed: int, mirror: int | None) -> Matrix:
@@ -328,27 +328,23 @@ def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
         raise ValueError(f"order must be >= 2, got {n}")
     _check_order(n)
     try:
-        coeffs = [[operator.index(cl) for cl in row] for row in coeffs]
+        table = np.zeros((len(coeffs), max(map(len, coeffs), default=0)), dtype=object)
+        for k, row in enumerate(coeffs):
+            table[k, :len(row)] = [operator.index(cl) for cl in row]
     except TypeError:
         raise ValueError("coeffs must be a list of lists of integers") from None
-    if not coeffs:
+    rows, width = table.shape
+    if not rows:
         raise ValueError("coeffs must contain at least one coefficient row")
-    x_degree = -1
-    for k, row in enumerate(coeffs):
-        if any(row):
-            x_degree = k
+    x_degree = int(max(np.flatnonzero((table != 0).any(axis=1)), default=-1))
     if x_degree > n - 2:
         raise ValueError(f"x-degree {x_degree} is not < n-1 = {n - 1}")
-
-    def value(i: int, j: int) -> int:
-        total = 0
-        for k, row in enumerate(coeffs):
-            ck = sum(cl * j**l for l, cl in enumerate(row))
-            total += ck * i**k
-        return total
-
-    rows = [[value(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return Matrix(rows, None)
+    # |P(i, j)| <= (sum of |coeffs|) * n**((rows - 1) + (width - 1))
+    bound = np.abs(table).sum() * n ** (rows - 1 + max(width - 1, 0))
+    _check_exact_bits(n * n * bound.bit_length(), "lower n or the degrees")
+    i = np.arange(1, n + 1).astype(object)
+    return Matrix(np.vander(i, rows, increasing=True) @ table
+                  @ np.vander(i, width, increasing=True).T, None)
 
 
 # ---------------------------------------------------------------------------

@@ -464,7 +464,8 @@ def _admit(check_id: str, given: dict, per_order_cap: int | None, sweep: bool) -
 
     given holds a cell's params, or with sweep its SWEEP_BOUNDS; None is not
     given.  An unknown id, a name the id does not take, a per_order_cap on an
-    id with no permanent part, and a value outside CHOICES raise ValueError.
+    id with no permanent part, a value outside CHOICES, and a sweep's cmax
+    with a variant that takes no c raise ValueError.
     """
     spec = CHECKS.get(check_id)
     if spec is None:
@@ -480,6 +481,8 @@ def _admit(check_id: str, given: dict, per_order_cap: int | None, sweep: bool) -
     for name, values in CHOICES.items():
         if given.get(name) not in (None, *values):
             raise ValueError(f"{name} must be one of {values}, got {given[name]!r}")
+    if sweep and given.get("cmax") is not None and given.get("variant") not in (None, "c_minus1"):
+        raise ValueError(f"variant {given['variant']} takes no c")
     return spec
 
 

@@ -1,11 +1,13 @@
 """Command-line behavior: outputs, formats, engines, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -288,6 +290,25 @@ def test_exact_quadform_too_large_is_refused_before_building(argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert str(matgen.MAX_EXACT_BITS) in proc.stderr
+
+
+def test_exact_polyeval_too_large_is_refused_before_building(capsys):
+    # x-degree 598 at n = 600: about 2 * 10**9 bits of entries, refused from the size bound alone
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "build", "polyeval", "--n", "600",
+                         "--coeffs", json.dumps([[1]] * 599))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exact entries would take about ") and err.count("\n") == 1
+    assert str(matgen.MAX_EXACT_BITS) in err
+
+
+def test_exact_polyeval_within_the_bound_still_builds(capsys):
+    code, out, err = run(capsys, "build", "polyeval", "--n", "150",
+                         "--coeffs", json.dumps([[1]] * 148))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "169ac39dd982de4ec3e742dcd3a1d0ee81fe225231c2cd8ffa8faf71341ca3b2")
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +671,9 @@ def test_sweep_rejects_nonpositive_jobs(capsys):
     ("sweep conj --id 2 --pmax 13 --per-order-cap 3", "conj2 takes no --per-order-cap"),
     ("sweep conj --id 10 --pmin 24 --pmax 28 --per-order-cap 3",  # no prime: refused all the same
      "conj10 takes no --per-order-cap"),
+    ("sweep dp-theorem --pmax 13 --variant two_two --cmax 3", "variant two_two takes no c"),
+    ("sweep dp-theorem --pmin 24 --pmax 28 --variant six_six --cmax 3",  # no prime
+     "variant six_six takes no c"),
     ("check conj --id 3 --p 100003", "conj3 takes --p up to 100000, got 100003"),
     ("check reflection --p 100003 --c 1 --d 2", "reflection takes --p up to 100000, got 100003"),
     ("sweep conj --id 2 --pmax 100003", "conj2 sweep takes --pmax up to 100000, got 100003"),

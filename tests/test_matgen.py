@@ -62,9 +62,9 @@ def test_quadform_from1_range_drops_zero_row():
 
 
 def test_quadform_large_modulus_python_path():
-    """Moduli at or beyond 2^31 avoid the vectorized path but agree with it."""
+    """Moduli at or beyond 2^31 store Python ints in an object array and agree with int64."""
     small = quad_form_matrix(6, 2, 3, "full0", 4, ModCtx.prime(10007))
-    big_ctx = ModCtx(2**31 + 11)  # a prime above 2**31, forces pure python
+    big_ctx = ModCtx(2**31 + 11)  # a prime above 2**31, so object storage
     big = quad_form_matrix(6, 2, 3, "full0", 4, big_ctx)
     exact = quad_form_matrix(6, 2, 3, "full0", 4, None)
     for re, rs, rb in zip(exact.entries.tolist(), small.entries.tolist(), big.entries.tolist()):
@@ -85,6 +85,34 @@ def test_quadform_int64_path_at_the_largest_order_and_modulus():
     for r, s in cells:
         i, j = r + 1, s + 1  # the "from1" grid starts at index 1
         assert a.entries[r, s] == pow((i * i + c * i * j + d * j * j) % m, 3, m)
+
+
+@pytest.mark.parametrize("modulus,dtype", [
+    (2**31 - 1, np.int64),  # the widest int64 modulus
+    (2**31 + 11, object),
+    (2**61 - 1, object),
+    (None, object),  # exact
+])
+@pytest.mark.parametrize("index_range", ["full0", "from1"])
+def test_quadform_matches_the_entrywise_power_in_every_storage_class(modulus, dtype, index_range):
+    """Each entry is pow(i*i + c*i*j + d*j*j, e, m), or the exact power, whatever the storage."""
+    ctx = None if modulus is None else ModCtx(modulus)
+    start = 0 if index_range == "full0" else 1
+    cd_pairs = [(2, 3), (-7, 5), (4, -11), (-30, -29), (0, 0)]
+    if dtype == np.int64:  # far beyond the modulus: only reduced, they fit in int64 products
+        cd_pairs += [(2**40 + 3, 2**41 + 5), (-(2**52 + 5), 2**48 + 9), (2**62 - 1, -(2**62))]
+    for order, exponent in ((1, 1), (2, 2), (7, 3), (13, 11), (130, 5)):
+        if modulus is None and order > 13:
+            continue  # exact powers: keep the reference cheap
+        for c, d in cd_pairs:
+            a = quad_form_matrix(order + start, c, d, index_range, exponent, ctx)
+            assert a.n == order and a.entries.dtype == dtype
+            idx = range(start, order + start)
+            want = [[pow(i * i + c * i * j + d * j * j, exponent, modulus) for j in idx]
+                    for i in idx]
+            assert a.entries.tolist() == want, (order, c, d)
+            if dtype == object:
+                assert {type(x) for x in a.entries.flat} == {int}
 
 
 def test_quadform_rejects_bad_range():
@@ -260,6 +288,9 @@ def test_prime_indicator_entries_follow_primality():
     for i in range(1, 10):
         for j in range(1, 10):
             assert m.entries[i - 1][j - 1] == (1 if is_prime(i + j) else 0)
+    for n in range(1, 61):
+        want = [[int(is_prime(i + j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        assert prime_indicator_matrix(n).entries.tolist() == want, n
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +366,49 @@ def test_polyeval_x_squared():
     for i in range(1, 5):
         row = m.entries[i - 1]
         assert set(row) == {i * i}
+
+
+def _poly_value(coeffs, i, j):
+    """P(i, j) summed term by term: the reference for poly_eval_matrix."""
+    total = 0
+    for k, row in enumerate(coeffs):
+        ck = sum(cl * j**l for l, cl in enumerate(row))
+        total += ck * i**k
+    return total
+
+
+@pytest.mark.parametrize("coeffs,n", [
+    ([[1, 2, 3], [0, 4], [5]], 12),  # ragged rows
+    ([[], [3, -1], []], 5),  # empty rows
+    ([[0, 0], [0], []], 4),  # all-zero coefficients
+    ([[]], 3),
+    ([[0, 1], [0, 0, 5], [-2]], 6),  # not symmetric in (x, j)
+    ([[0, 0, 0, 7]], 5),  # j only
+    ([[2**70, -3], [-(2**65)]], 4),  # coefficients beyond int64
+    ([[1, -1]] * 39, 40),  # x-degree 38: entries far above 2**63
+])
+def test_polyeval_matches_the_term_by_term_value(coeffs, n):
+    a = poly_eval_matrix(coeffs, n)
+    want = [[_poly_value(coeffs, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    assert a.entries.tolist() == want
+    assert a.entries.dtype == object and {type(x) for x in a.entries.flat} == {int}
+
+
+def test_polyeval_matches_the_term_by_term_value_on_seeded_polynomials(rng):
+    for _ in range(40):
+        n = rng.randint(2, 20)
+        coeffs = [[rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+                  for _ in range(rng.randint(1, n - 1))]
+        want = [[_poly_value(coeffs, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        assert poly_eval_matrix(coeffs, n).entries.tolist() == want, (coeffs, n)
+
+
+def test_polyeval_refuses_entries_beyond_max_exact_bits():
+    """|P(i, j)| <= (sum of |coeffs|) * n**((rows - 1) + (width - 1)) is checked before building."""
+    with pytest.raises(ValueError, match=f"more than {matgen.MAX_EXACT_BITS}; "):
+        poly_eval_matrix([[1]] * 2047, matgen.MAX_ORDER)
+    with pytest.raises(ValueError, match="exact entries would take about"):
+        poly_eval_matrix([[1, 1]] + [[]] * 598, 600)
 
 
 def test_polyeval_degree_gate():

@@ -474,6 +474,12 @@ def test_sweep_cells_vanishing_variant_filter():
         ("dp-theorem", {"p": 5, "variant": "two_two"}),
         ("dp-theorem", {"p": 7, "variant": "two_two"}),
     ]
+    # cmax is taken without a variant and with c_minus1; only the c_minus1 cells read it
+    assert sweep_cells("dp-theorem", pmax=5, variant="c_minus1", cmax=1) == [
+        ("dp-theorem", {"p": p, "variant": "c_minus1", "c": c}) for p in (3, 5) for c in (0, 1)]
+    cells = sweep_cells("dp-theorem", pmax=13, cmax=3)
+    assert len(cells) == 5 * (4 + 2)
+    assert {p["c"] for _, p in cells if "c" in p} == {0, 1, 2, 3}
 
 
 def test_sweep_cells_background_which_filter():
@@ -565,6 +571,9 @@ def test_run_check_ignores_none_params():
     ("background", {"pmin": 24, "pmax": 28, "which": "bogus"},
      r"which must be one of \('half_range_sq', 'full_range_ij'\), got 'bogus'"),
     ("conj10", {"pmin": 24, "pmax": 28, "per_order_cap": 3}, "conj10 takes no --per-order-cap"),
+    ("dp-theorem", {"pmax": 13, "variant": "two_two", "cmax": 3}, "variant two_two takes no c"),
+    ("dp-theorem", {"pmin": 24, "pmax": 28, "variant": "six_six", "cmax": 0},
+     "variant six_six takes no c"),
 ])
 def test_sweep_cells_refuses_bounds_that_cannot_hold_a_cell(check_id, bounds, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
