@@ -231,7 +231,8 @@ def cauchy_type_matrix(kind: EntryKind, size: int, diagonal: str, ctx: ModCtx) -
     """Order-`size` matrix over indices 1..size with Cauchy-style off-diagonal terms.
 
     diagonal is "zero" or "one".  Index sets larger than the denominators can
-    support (e.g. 1..p for a difference kind mod p) raise NonUnitDenominator.
+    support (e.g. 1..p-1 for a squares kind mod p, where j + k = p makes
+    j^2 - k^2 vanish) raise NonUnitDenominator.
     """
     if kind not in _CAUCHY_TERMS:
         raise ValueError(f"{kind} is not a Cauchy-style entry kind")

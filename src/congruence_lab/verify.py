@@ -14,7 +14,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
@@ -351,31 +351,34 @@ def _conj10(p: int) -> Outcome:
 
 
 Runner = Callable[[dict, int | None], Iterable[tuple[str | None, Outcome]]]
+#: the values a sweep walks for one param, from the sweep's bounds and the cell so far
+Range = Callable[[SimpleNamespace, dict], Iterable]
 
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One check id: the params of a cell, how to run a cell, and its sweep grid.
+    """One check id: the params of a cell, how to run a cell, and how a sweep walks them.
 
     params names a cell's params; a cell needs each of them except those in
-    optional, and a sweep takes their SWEEP_BOUNDS.  limit is the largest p
-    or n a cell takes (MAX_UNITS_P where no matrix is built), and cap is the
-    default size gate of the permanent parts (None where there are none).
-    run(params, cap) evaluates one cell and yields (part, Outcome) pairs, part
-    None for a one-part cell.  grid(bounds) yields the params of each sweep
-    cell, with bounds.cmax and bounds.dmax defaulting to cmax and dmax here.
-    Runners call the checkers, which look the builders and engines up in this
-    module when they run.
+    optional, and a sweep takes their SWEEP_BOUNDS and walks their
+    SWEEP_RANGES in this order.  ranges overrides SWEEP_RANGES for this id;
+    the sweep's bounds.cmax and bounds.dmax default to cmax and dmax here.
+    limit is the largest p or n a cell takes (MAX_UNITS_P where no matrix is
+    built), and cap is the default size gate of the permanent parts (None
+    where there are none).  run(params, cap) evaluates one cell and yields
+    (part, Outcome) pairs, part None for a one-part cell.  Runners call the
+    checkers, which look the builders and engines up in this module when they
+    run.
     """
 
     params: tuple[str, ...]
     run: Runner
-    grid: Callable[[SimpleNamespace], Iterable[dict]]
     limit: int = MAX_ORDER
     cmax: int | None = None
     dmax: int | None = None
     optional: tuple[str, ...] = ()
     cap: int | None = None
+    ranges: dict[str, Range] = field(default_factory=dict)
 
     @property
     def bounds(self) -> tuple[str, ...]:
@@ -390,73 +393,56 @@ def _gated(conj: Callable[[int, int], Iterator[tuple[str, Outcome]]]) -> Runner:
     return lambda params, cap: conj(params["p"], cap)
 
 
-def _prime_grid(b: SimpleNamespace) -> Iterable[dict]:
-    return ({"p": p} for p in odd_primes_in(b.pmin, b.pmax))
-
-
-def _pcd_grid(clip: bool):
-    """Cells (p, c, d) with c in 0..cmax and d in 0..dmax, both at most p - 1 if clip."""
-    def grid(b: SimpleNamespace) -> Iterable[dict]:
-        for p in odd_primes_in(b.pmin, b.pmax):
-            cmax, dmax = (min(p - 1, b.cmax), min(p - 1, b.dmax)) if clip else (b.cmax, b.dmax)
-            for c in range(cmax + 1):
-                for d in range(dmax + 1):
-                    yield {"p": p, "c": c, "d": d}
-    return grid
-
-
-def _p3_grid(b: SimpleNamespace) -> Iterable[dict]:
-    return ({"c": c, "d": d} for c in range(-b.cmax, b.cmax + 1)
-            for d in range(-b.dmax, b.dmax + 1))
-
-
-def _vanishing_grid(b: SimpleNamespace) -> Iterable[dict]:
-    for p in odd_primes_in(b.pmin, b.pmax):
-        for var in VANISHING_VARIANTS if b.variant is None else (b.variant,):
-            if var == "c_minus1":
-                yield from ({"p": p, "variant": var, "c": c} for c in range(b.cmax + 1))
-            else:
-                yield {"p": p, "variant": var}
-
-
-def _inverse_form_grid(b: SimpleNamespace) -> Iterable[dict]:
-    return ({"p": p, "which": w} for p in odd_primes_in(b.pmin, b.pmax)
-            for w in (INVERSE_FORM_WHICH if b.which is None else (b.which,)))
-
-
-def _conj1_grid(b: SimpleNamespace) -> Iterable[dict]:
-    start = b.nmin if b.nmin % 2 == 1 else b.nmin + 1
-    return ({"n": n, "c": c, "d": d} for n in range(start, b.nmax + 1, 2)
-            for c in range(b.cmax + 1) for d in range(b.dmax + 1))
-
-
 _PCD = ("p", "c", "d")
 
 CHECKS: dict[str, CheckSpec] = {
-    "eq15": CheckSpec(_PCD, _one(check_full_grid_det_zero), _pcd_grid(clip=True), cmax=6, dmax=6),
-    "p3": CheckSpec(("c", "d"), _one(check_p3_closed_form), _p3_grid, cmax=5, dmax=5),
-    "reflection": CheckSpec(_PCD, _one(check_reflection), _pcd_grid(clip=False),
-                            limit=MAX_UNITS_P, cmax=6, dmax=6),
+    "eq15": CheckSpec(_PCD, _one(check_full_grid_det_zero), cmax=6, dmax=6, ranges={
+        "c": lambda b, cell: range(min(cell["p"] - 1, b.cmax) + 1),
+        "d": lambda b, cell: range(min(cell["p"] - 1, b.dmax) + 1)}),
+    "p3": CheckSpec(("c", "d"), _one(check_p3_closed_form), cmax=5, dmax=5, ranges={
+        "c": lambda b, cell: range(-b.cmax, b.cmax + 1),
+        "d": lambda b, cell: range(-b.dmax, b.dmax + 1)}),
+    "reflection": CheckSpec(_PCD, _one(check_reflection), limit=MAX_UNITS_P, cmax=6, dmax=6),
     "dp-theorem": CheckSpec(("p", "variant", "c"), _one(check_vanishing_family),
-                            _vanishing_grid, limit=MAX_UNITS_P, cmax=10, optional=("c",)),
-    "background": CheckSpec(("p", "which"), _one(check_inverse_form_det), _inverse_form_grid),
-    "column-relation": CheckSpec(_PCD, _one(check_column_relation), _pcd_grid(clip=False),
-                                 cmax=6, dmax=6),
-    "conj1": CheckSpec(("n", "c", "d"), _one(_conj1), _conj1_grid, cmax=3, dmax=6),
-    "conj2": CheckSpec(("p",), _one(_conj2), _prime_grid, limit=MAX_UNITS_P),
-    "conj3": CheckSpec(("p",), _one(_conj3), _prime_grid, limit=MAX_UNITS_P),
-    "conj4": CheckSpec(("p",), _one(_conj4), _prime_grid, limit=MAX_UNITS_P),
-    "conj5": CheckSpec(("p",), _gated(_conj5), _prime_grid, cap=PER_ORDER_CAPS[5]),
-    "conj6": CheckSpec(("p",), _gated(_conj6), _prime_grid, cap=PER_ORDER_CAPS[6]),
-    "conj7": CheckSpec(("p",), _gated(_conj7), _prime_grid, cap=PER_ORDER_CAPS[7]),
-    "conj8": CheckSpec(("p",), _gated(_conj8), _prime_grid, cap=PER_ORDER_CAPS[8]),
-    "conj9": CheckSpec(("p",), _gated(_conj9), _prime_grid, cap=PER_ORDER_CAPS[9]),
-    "conj10": CheckSpec(("p",), _one(_conj10), _prime_grid),
+                            limit=MAX_UNITS_P, cmax=10, optional=("c",), ranges={
+        "c": lambda b, cell: range(b.cmax + 1) if cell["variant"] == "c_minus1" else (None,)}),
+    "background": CheckSpec(("p", "which"), _one(check_inverse_form_det)),
+    "column-relation": CheckSpec(_PCD, _one(check_column_relation), cmax=6, dmax=6),
+    "conj1": CheckSpec(("n", "c", "d"), _one(_conj1), cmax=3, dmax=6),
+    "conj2": CheckSpec(("p",), _one(_conj2), limit=MAX_UNITS_P),
+    "conj3": CheckSpec(("p",), _one(_conj3), limit=MAX_UNITS_P),
+    "conj4": CheckSpec(("p",), _one(_conj4), limit=MAX_UNITS_P),
+    "conj5": CheckSpec(("p",), _gated(_conj5), cap=PER_ORDER_CAPS[5]),
+    "conj6": CheckSpec(("p",), _gated(_conj6), cap=PER_ORDER_CAPS[6]),
+    "conj7": CheckSpec(("p",), _gated(_conj7), cap=PER_ORDER_CAPS[7]),
+    "conj8": CheckSpec(("p",), _gated(_conj8), cap=PER_ORDER_CAPS[8]),
+    "conj9": CheckSpec(("p",), _gated(_conj9), cap=PER_ORDER_CAPS[9]),
+    "conj10": CheckSpec(("p",), _one(_conj10)),
 }
 
 #: the sweep bounds each cell param brings; a sweep takes no other
 SWEEP_BOUNDS = {"p": ("pmin", "pmax"), "n": ("nmin", "nmax"), "c": ("cmax",), "d": ("dmax",),
                 "variant": ("variant",), "which": ("which",)}
+
+#: the Range of each cell param; CheckSpec.ranges overrides one for its id
+SWEEP_RANGES: dict[str, Range] = {
+    "p": lambda b, cell: odd_primes_in(b.pmin, b.pmax),
+    "n": lambda b, cell: range(b.nmin | 1, b.nmax + 1, 2),  # conj1 is stated for odd n
+    "c": lambda b, cell: range(b.cmax + 1),
+    "d": lambda b, cell: range(b.dmax + 1),
+    "variant": lambda b, cell: VANISHING_VARIANTS if b.variant is None else (b.variant,),
+    "which": lambda b, cell: INVERSE_FORM_WHICH if b.which is None else (b.which,),
+}
+
+
+def _walk(ranges: list[tuple[str, Range]], b: SimpleNamespace, cell: dict) -> Iterator[dict]:
+    """The cells that extend cell over ranges, in order; a None value is left out of a cell."""
+    if not ranges:
+        yield cell
+        return
+    (name, values), rest = ranges[0], ranges[1:]
+    for v in values(b, cell):
+        yield from _walk(rest, b, cell if v is None else {**cell, name: v})
 
 
 def _admit(check_id: str, given: dict, per_order_cap: int | None, sweep: bool) -> CheckSpec:
@@ -464,8 +450,9 @@ def _admit(check_id: str, given: dict, per_order_cap: int | None, sweep: bool) -
 
     given holds a cell's params, or with sweep its SWEEP_BOUNDS; None is not
     given.  An unknown id, a name the id does not take, a per_order_cap on an
-    id with no permanent part, a value outside CHOICES, and a sweep's cmax
-    with a variant that takes no c raise ValueError.
+    id with no permanent part, a negative per_order_cap, a value outside
+    CHOICES, and a sweep's cmax with a variant that takes no c raise
+    ValueError.
     """
     spec = CHECKS.get(check_id)
     if spec is None:
@@ -478,6 +465,8 @@ def _admit(check_id: str, given: dict, per_order_cap: int | None, sweep: bool) -
         extra.append("per-order-cap")
     if extra:
         raise ValueError(f"{check_id} takes no --" + ", --".join(extra))
+    if per_order_cap is not None and per_order_cap < 0:
+        raise ValueError(f"per-order-cap must be >= 0, got {per_order_cap}")
     for name, values in CHOICES.items():
         if given.get(name) not in (None, *values):
             raise ValueError(f"{name} must be one of {values}, got {given[name]!r}")
@@ -519,7 +508,7 @@ def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> 
 
 def sweep_cells(check_id: str, *, per_order_cap: int | None = None,
                 **bounds: int | str | None) -> list[tuple[str, dict]]:
-    """Deterministic parameter grid for a sweep over one check id.
+    """Deterministic parameter grid for a sweep over one check id: its ranges, walked.
 
     The bounds are checked here, before the grid, even an empty one (bounds
     that hold no prime).  pmin, nmin, cmax and dmax default to 3, 5 and the
@@ -542,7 +531,8 @@ def sweep_cells(check_id: str, *, per_order_cap: int | None = None,
     for name, least in (("nmin", 1), ("cmax", 0), ("dmax", 0)):
         if b.get(name, least) < least:
             raise ValueError(f"{name} must be >= {least}, got {b[name]}")
-    grid = itertools.islice(spec.grid(SimpleNamespace(**b)), MAX_CELLS + 1)
+    ranges = [(k, spec.ranges.get(k, SWEEP_RANGES[k])) for k in spec.params]
+    grid = itertools.islice(_walk(ranges, SimpleNamespace(**b), {}), MAX_CELLS + 1)
     cells = [(check_id, params) for params in grid]
     if len(cells) > MAX_CELLS:
         raise ValueError(f"{check_id} sweep has more than {MAX_CELLS} cells; narrow its bounds")

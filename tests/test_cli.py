@@ -323,6 +323,7 @@ PINNED_FILES = {
     "board": "6 0\n-2 9 0 8 0 -5\n2 0 6 0 9 0\n"
              "0 -7 0 -9 0 6\n-1 0 8 0 -2 0\n0 -3 0 6 0 8\n8 0 6 0 3 0\n",
     "oddboard": "5 0\n-5 9 0 -7 0\n-1 0 -6 0 6\n0 5 0 6 0\n3 0 -3 0 -6\n0 6 0 -9 0\n",
+    "negative": "2 -5\n1 2\n3 4\n",
 }
 
 #: (command, exit code, stdout, stderr)
@@ -369,6 +370,9 @@ PINNED = [
     ("build polyeval --n 4 --coeffs [[1,2],[0,1]]", 0,
      "4 0\n4 7 10 13\n5 9 13 17\n6 11 16 21\n7 13 19 25\n", ""),
     ("build polyeval --n 3 --coeffs [[0],[0],[1]]", 2, "", "error: x-degree 2 is not < n-1 = 2\n"),
+    ("build polyeval --n 4 --coeffs [[1,2", 2, "", "error: --coeffs must be a JSON list of "
+     "lists: Expecting ',' delimiter: line 1 column 6 (char 5)\n"),
+    ("build polyeval --n 1 --coeffs [[1]]", 2, "", "error: order must be >= 2, got 1\n"),
     ("det exact --engine auto", 0, "-4\n", "engine: bareiss\n"),
     ("det exact --engine field", 2, "", "error: det_field needs a prime modulus context\n"),
     ("det exact --engine ring", 2, "", "error: det_mod needs a modulus context\n"),
@@ -438,16 +442,18 @@ PINNED = [
     ("det composite --mod 7", 2, "", "error: matrix is mod 9; --mod 7 conflicts\n"),
     ("per prime --mod 9", 2, "", "error: matrix is mod 7; --mod 9 conflicts\n"),
     ("det prime --mod 7", 0, "5\n", "engine: field\n"),
+    ("det negative", 2,
+     "", "error: cannot read matrix from negative.txt: modulus must be >= 0, got -5\n"),
 ]
 
 
 @pytest.mark.parametrize("command,code,out,err", PINNED, ids=[case[0] for case in PINNED])
-def test_cli_output_is_pinned(tmp_path, capsys, command, code, out, err):
+def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys, command, code, out, err):
     argv = command.split()
     if argv[0] != "build":
-        path = tmp_path / f"{argv[1]}.txt"
-        path.write_text(PINNED_FILES[argv[1]])
-        argv[1] = str(path)
+        monkeypatch.chdir(tmp_path)  # so an error names the file as the command does
+        (tmp_path / f"{argv[1]}.txt").write_text(PINNED_FILES[argv[1]])
+        argv[1] = f"{argv[1]}.txt"
     assert run(capsys, *argv) == (code, out, err)
 
 
@@ -485,6 +491,17 @@ def test_check_conj_multi_part(capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["params"]["part"] for r in records] == ["per", "det"]
     assert [r["computed"] for r in records] == ["9", "22"]
+
+
+def test_check_conj6_saturated_valuation_is_inconclusive(capsys, monkeypatch):
+    # a det of 0 mod p^5 leaves the valuation unknown: part ii cannot pass or fail
+    monkeypatch.setattr(verify, "det_mod", lambda matrix: 0)
+    code, out, _ = run(capsys, "check", "conj", "--id", "6", "--p", "7", "--format", "jsonl")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [(r["params"]["part"], r["computed"], r["verdict"]) for r in records] == [
+        ("i", "3", "pass"), ("ii", "0", "inconclusive")]
+    assert records[1]["expected"] == "p-adic valuation exactly 4, unit part a square mod 7"
 
 
 def test_check_per_order_cap_flag(capsys):
@@ -671,6 +688,8 @@ def test_sweep_rejects_nonpositive_jobs(capsys):
     ("sweep conj --id 2 --pmax 13 --per-order-cap 3", "conj2 takes no --per-order-cap"),
     ("sweep conj --id 10 --pmin 24 --pmax 28 --per-order-cap 3",  # no prime: refused all the same
      "conj10 takes no --per-order-cap"),
+    ("check conj --id 5 --p 7 --per-order-cap -3", "per-order-cap must be >= 0, got -3"),
+    ("sweep conj --id 5 --pmax 7 --per-order-cap -3", "per-order-cap must be >= 0, got -3"),
     ("sweep dp-theorem --pmax 13 --variant two_two --cmax 3", "variant two_two takes no c"),
     ("sweep dp-theorem --pmin 24 --pmax 28 --variant six_six --cmax 3",  # no prime
      "variant six_six takes no c"),

@@ -314,6 +314,16 @@ def test_padic_valuation_saturates():
         padic_valuation(0, 7, 4)
 
 
+@pytest.mark.parametrize("p,cap,message", [
+    (9, 5, "needs an odd prime, got 9"),
+    (2, 5, "needs an odd prime, got 2"),
+    (7, 0, "cap must be >= 1, got 0"),
+])
+def test_padic_valuation_refuses_a_non_odd_prime_and_an_empty_cap(p, cap, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        padic_valuation(49, p, cap)
+
+
 def test_padic_valuation_respects_cap_window():
     # x is only known mod p^cap, so x = p^2 * u is reported through that window
     assert padic_valuation(5**2 * 6, 5, 5) == (2, 1)

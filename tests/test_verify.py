@@ -494,6 +494,8 @@ def test_sweep_cells_conj1_odd_orders_only():
     cells = sweep_cells("conj1", nmin=5, nmax=9, cmax=0, dmax=1)
     orders = sorted({params["n"] for _, params in cells})
     assert orders == [5, 7, 9]
+    cells = sweep_cells("conj1", nmin=6, nmax=9, cmax=0, dmax=1)
+    assert sorted({params["n"] for _, params in cells}) == [7, 9]
 
 
 def test_sweep_cells_required_bounds():
