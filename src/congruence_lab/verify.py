@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from .detper import det_exact, det_field, det_mod, per_ryser
 from .matgen import (
     MAX_ORDER,
@@ -50,8 +52,10 @@ PER_ORDER_CAPS = {5: 12, 6: 12, 7: 17, 8: 17, 9: 17}
 #: the most cells one sweep may hold; a larger grid is refused before it runs
 MAX_CELLS = 10**5
 
-#: the largest p of a matrix-free check; units_grid_det takes O(p) time and memory
-MAX_UNITS_P = 10**5
+#: the largest p of a matrix-free check; units_grid_det takes O(p) memory and O(log p) vector steps
+MAX_UNITS_P = 10**6
+#: terms of 1/f^2 that units_grid_det computes one by one before its vector steps
+_SEED_TERMS = 64
 
 VANISHING_VARIANTS = ("c_minus1", "two_two", "six_six")
 INVERSE_FORM_WHICH = ("half_range_sq", "full_range_ij")
@@ -79,7 +83,7 @@ def _require_odd_prime(p: int) -> None:
 
 
 def units_grid_det(p: int, c: int, d: int) -> int:
-    """D_p(c, d) = det[(i^2 + c*i*j + d*j^2)^(p-2)] over 1 <= i, j <= p-1, mod p, in O(p).
+    """D_p(c, d) = det[(i^2 + c*i*j + d*j^2)^(p-2)] over 1 <= i, j <= p-1, mod p.
 
     With g(t) = (1 + c*t + d*t^2)^(p-2), entry (i, j) is i^-2 * g(j/i), and on
     the units g(t) = sum_k b_k t^k, where b_k sums the coefficients of g over
@@ -87,21 +91,46 @@ def units_grid_det(p: int, c: int, d: int) -> int:
     whose Vandermonde signs cancel at every odd p: D_p = prod b_k (mod p)
     (Krattenthaler, "Advanced determinant calculus", Sem. Lothar. Combin. 42, 1999).
     By Frobenius g = (1 + c*t^p + d*t^2p) / f^2 with f = 1 + c*t + d*t^2, and
-    1/f^2 follows a 4-term recurrence because f(0) = 1; no matrix is built.
+    the coefficients h_n of 1/f^2 follow a 4-term recurrence because f(0) = 1;
+    no matrix is built.  h is that recurrence's impulse response, so for every
+    J and k >= 0, h_(k+J) = e0*h_k + e1*h_(k-1) + e2*h_(k-2) + e3*h_(k-3), with e
+    read off h_J..h_(J+3).  From 64 terms found one by one, each vector step
+    thus doubles the known terms: O(p) memory and O(log p) vector steps.
+    Every int64 intermediate is below 4p^2 < 2^63.
     """
     if p > MAX_UNITS_P:
         raise ValueError(f"units_grid_det takes p up to {MAX_UNITS_P}, got {p}")
     _require_odd_prime(p)
     c, d = c % p, d % p
-    a1, a2, a3, a4 = 2 * c, c * c + 2 * d, 2 * c * d, d * d  # f^2 = 1 + a1*t + ... + a4*t^4
+    # f^2 = 1 + 2c*t + (c^2 + 2d)*t^2 + 2cd*t^3 + d^2*t^4, so h_n = r1*h_(n-1) + ... + r4*h_(n-4)
+    r1, r2, r3, r4 = -2 * c % p, -(c * c + 2 * d) % p, -2 * c * d % p, -d * d % p
+    n = 2 * p - 2  # h_0 .. h_(2p-3), one past the degree of g, where the fold reads 0
     h = [0, 0, 0, 1]  # coefficients of 1/f^2 from t^-3 on, so h_n is h[n + 3]
-    for _ in range(2 * p - 3):  # to t^(2p-3), one past the degree of g, where the fold reads 0
-        h.append(-(a1 * h[-1] + a2 * h[-2] + a3 * h[-3] + a4 * h[-4]) % p)
-    det = 1
-    for k in range(p - 1):  # b_k = g_k + g_(k+p-1), with g_n = h_n + c*h_(n-p)
-        det = det * (h[k + 3] + h[k + p + 2] + c * h[k + 2]) % p
-        if det == 0:
-            break
+    for i in range(min(n, _SEED_TERMS) - 1):
+        h.append((r1 * h[i + 3] + r2 * h[i + 2] + r3 * h[i + 1] + r4 * h[i]) % p)
+    hs = np.zeros(n + 3, dtype=np.int64)  # h_n is hs[n + 3], as in h
+    hs[:len(h)] = h
+    known = len(h) - 3
+    while known < n:
+        j = known - 4  # h_0 = 1 makes the solve for e triangular
+        e0, g1, g2, g3 = hs[j + 3:j + 7].tolist()
+        e1 = (g1 - e0 * h[4]) % p
+        e2 = (g2 - e0 * h[5] - e1 * h[4]) % p
+        e3 = (g3 - e0 * h[6] - e1 * h[5] - e2 * h[4]) % p
+        new = min(n - known, j)  # h_(J+k) for k = 4 .. known-1
+        hs[known + 3:known + 3 + new] = (e0 * hs[7:7 + new] + e1 * hs[6:6 + new]
+                                         + e2 * hs[5:5 + new] + e3 * hs[4:4 + new]) % p
+        known += new
+    # b_k = g_k + g_(k+p-1), with g_n = h_n + c*h_(n-p)
+    b = (hs[3:p + 2] + hs[p + 2:2 * p + 1] + c * hs[2:p + 1]) % p
+    det = 1  # p is prime, so the product is 0 exactly when some b_k is
+    while len(b) > 16:  # pairwise halving; below 16 terms one numpy step costs more than they do
+        half = len(b) // 2
+        if len(b) % 2:
+            det = det * int(b[-1]) % p
+        b = b[:half] * b[half:2 * half] % p
+    for v in b.tolist():
+        det = det * v % p
     return det
 
 

@@ -60,6 +60,21 @@ def units_grid_det_by_elimination(p, c, d):
     return det_field(matrix)
 
 
+def units_grid_det_by_recurrence(p, c, d):
+    """D_p(c, d) as the product of the folded coefficients of 1/f^2, found one term at a time."""
+    c, d = c % p, d % p
+    a1, a2, a3, a4 = 2 * c, c * c + 2 * d, 2 * c * d, d * d  # f^2 = 1 + a1*t + ... + a4*t^4
+    h = [0, 0, 0, 1]  # coefficients of 1/f^2 from t^-3 on, so h_n is h[n + 3]
+    for _ in range(2 * p - 3):  # to t^(2p-3), one past the degree of g, where the fold reads 0
+        h.append(-(a1 * h[-1] + a2 * h[-2] + a3 * h[-3] + a4 * h[-4]) % p)
+    det = 1
+    for k in range(p - 1):  # b_k = g_k + g_(k+p-1), with g_n = h_n + c*h_(n-p)
+        det = det * (h[k + 3] + h[k + p + 2] + c * h[k + 2]) % p
+        if det == 0:
+            break
+    return det
+
+
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 
 

@@ -263,6 +263,15 @@ def test_a_matrix_free_check_takes_p_beyond_max_order():
     assert record["verdict"] == "pass"  # 20011 = 3 (mod 8), so the symbol is not -1
 
 
+def test_a_matrix_free_check_takes_p_up_to_max_units_p():
+    # units_grid_det holds O(p) int64 terms, so the largest prime below 10**6 fits in 1 GiB
+    proc = run_under_1_gib(["check", "conj", "--id", "3", "--p", "999983", "--format", "jsonl"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    record = json.loads(proc.stdout)
+    assert (record["check_id"], record["params"]) == ("conj3", {"p": 999983})
+    assert (record["computed"], record["verdict"]) == ("0", "pass")  # 999983 = 7 (mod 8)
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "p3", "--cmax", "20000", "--dmax", "20000"],
     ["sweep", "reflection", "--pmax", "13", "--cmax", "5000", "--dmax", "5000"],
@@ -693,11 +702,12 @@ def test_sweep_rejects_nonpositive_jobs(capsys):
     ("sweep dp-theorem --pmax 13 --variant two_two --cmax 3", "variant two_two takes no c"),
     ("sweep dp-theorem --pmin 24 --pmax 28 --variant six_six --cmax 3",  # no prime
      "variant six_six takes no c"),
-    ("check conj --id 3 --p 100003", "conj3 takes --p up to 100000, got 100003"),
-    ("check reflection --p 100003 --c 1 --d 2", "reflection takes --p up to 100000, got 100003"),
-    ("sweep conj --id 2 --pmax 100003", "conj2 sweep takes --pmax up to 100000, got 100003"),
-    ("sweep dp-theorem --pmin 100003 --pmax 100019",
-     "dp-theorem sweep takes --pmax up to 100000, got 100019"),
+    ("check conj --id 3 --p 1000003", "conj3 takes --p up to 1000000, got 1000003"),
+    ("check reflection --p 1000003 --c 1 --d 2",
+     "reflection takes --p up to 1000000, got 1000003"),
+    ("sweep conj --id 2 --pmax 1000003", "conj2 sweep takes --pmax up to 1000000, got 1000003"),
+    ("sweep dp-theorem --pmin 1000003 --pmax 1000033",
+     "dp-theorem sweep takes --pmax up to 1000000, got 1000033"),
 ])
 def test_flags_a_cell_or_grid_cannot_take_are_refused(capsys, command, message):
     """Each refusal is one error line, exit 2, and nothing on stdout (not even a CSV header)."""

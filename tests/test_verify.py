@@ -26,7 +26,7 @@ from congruence_lab.verify import (
     units_grid_det,
 )
 
-from conftest import units_grid_det_by_elimination
+from conftest import units_grid_det_by_elimination, units_grid_det_by_recurrence
 from oracle import matrix_permutation_sum
 
 
@@ -173,17 +173,48 @@ def test_units_grid_det_uses_only_the_residues_of_c_and_d():
         assert got == units_grid_det_by_elimination(p, c, d)
 
 
+def test_units_grid_det_matches_the_recurrence_on_every_residue_pair():
+    # 2p - 2 terms of 1/f^2 are needed: up to p = 31 the 64-term seed holds them
+    # all, from p = 37 on the doubling steps find the rest
+    mismatches = [(p, c, d) for p in odd_primes_in(3, 61) for c in range(p) for d in range(p)
+                  if units_grid_det(p, c, d) != units_grid_det_by_recurrence(p, c, d)]
+    assert mismatches == []
+
+
+def _large_recurrence_cases():
+    for p in (1009, 10007):  # f = 1, f linear, f = 1 + d*t^2 and f a square, after many doublings
+        u = p // 3
+        yield from ((p, 0, 0), (p, u, 0), (p, -u, p), (p, 0, u), (p, 2 * u, u * u),
+                    (p, -2 * u, u * u + 5 * p))
+    rng = random.Random(24)
+    for lo, hi, k in ((10**3, 10**4, 2), (10**4, 10**5, 3)):
+        primes = odd_primes_in(lo, hi)
+        for _ in range(k):
+            p = rng.choice(primes)
+            yield p, rng.randrange(p), rng.randrange(p)
+    yield 999917, 2, -1  # conj3's cell at the largest p = 5 (mod 8) below 10**6
+
+
+def test_units_grid_det_matches_the_recurrence_up_to_max_units_p():
+    cases = list(_large_recurrence_cases())
+    got = [units_grid_det(*case) for case in cases]
+    assert got == [units_grid_det_by_recurrence(*case) for case in cases]
+    # a zero det shows only that some b_k vanished: large cells must also compare whole products
+    assert [p for (p, _, _), v in zip(cases, got) if p > 10**4 and v != 0] == [
+        10007, 10007, 42187, 87121, 999917]
+
+
 def test_units_grid_det_refuses_a_non_prime_p_and_a_large_order():
     with pytest.raises(ValueError, match="odd prime"):
         units_grid_det(9, 1, 1)
-    with pytest.raises(ValueError, match=f"p up to {MAX_UNITS_P}, got 100003"):
-        units_grid_det(100003, 2, -1)
+    with pytest.raises(ValueError, match=f"p up to {MAX_UNITS_P}, got 1000003"):
+        units_grid_det(1000003, 2, -1)
 
 
 def test_units_grid_det_takes_p_up_to_max_units_p():
-    # no matrix and no MAX_ORDER: the largest prime below the bound still runs in O(p)
-    assert MAX_UNITS_P == 10**5
-    assert units_grid_det(99991, 2, -1) == 0  # conj3 at p = 7 (mod 8): not a -1 symbol
+    # no matrix and no MAX_ORDER: the largest prime below the bound still runs in O(p) memory
+    assert MAX_UNITS_P == 10**6
+    assert units_grid_det(999983, 2, -1) == 0  # conj3 at p = 7 (mod 8): not a -1 symbol
 
 
 def test_units_grid_checks_build_no_matrix(monkeypatch):
