@@ -1,12 +1,12 @@
 """Builders for the structured matrix families the workbench studies.
 
-Every builder returns an immutable Matrix, which is its entries and its
-modulus context and nothing else; its order is the number of rows.  The
-entries are stored once, as a read-only square ndarray.  With a ModCtx they
-are canonical residues: int64 when the modulus is below 2**31 (a product of
-two residues fits in int64), Python ints in an object array otherwise.
-Without one (ctx=None, "exact mode") they are exact Python ints in an object
-array.  Engines read that array directly.
+Every builder returns an immutable Matrix: its entries and its modulus context,
+and nothing else.  The entries are one read-only square ndarray that the
+builder makes in final form, so Matrix checks only its shape.  With a ModCtx
+they are canonical residues: int64 below a modulus of 2**31 (a product of two
+residues fits in int64), Python ints in an object array otherwise; in exact
+mode (ctx=None), Python ints in an object array.  Engines read that array
+directly.  Matrix files are the only outside input; read_matrix checks them.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ def entry_dtype(ctx: ModCtx | None) -> np.dtype:
 class Matrix:
     """Square matrix with an optional modulus context.
 
-    entries may be given as any n x n nested sequence or array with n >= 1; it
-    is stored as one read-only 2-D ndarray of dtype entry_dtype(ctx).  Object
-    arrays hold plain Python ints.  Equality is identity: compare entries
-    explicitly.
+    entries becomes a read-only n x n ndarray of dtype entry_dtype(ctx), n >= 1,
+    without a copy if it has that dtype.  Only the shape is checked: builders
+    hand over canonical residues (plain ints in object arrays) and read_matrix
+    checks matrix files.  Equality is identity: compare entries explicitly.
     """
 
     entries: np.ndarray
@@ -95,30 +95,11 @@ class Matrix:
         return len(self.entries)
 
     def __post_init__(self):
-        dtype = entry_dtype(self.ctx)
-        wide = dtype == object
-        # int64 storage infers the dtype first: a direct cast would truncate floats
-        try:
-            a = np.array(self.entries, dtype=object if wide else None)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError("entries are not an n x n grid of integers") from None
+        a = np.asarray(self.entries, dtype=entry_dtype(self.ctx))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries are not an n x n grid")
         if not len(a):
             raise ValueError("order must be >= 1, got 0")
-        if wide:
-            try:
-                a = np.frompyfunc(operator.index, 1, 1)(a)
-            except TypeError:
-                raise ValueError("entries must be integers") from None
-        elif a.dtype.kind not in "iuO":
-            raise ValueError(f"entries must be integers, got dtype {a.dtype}")
-        if self.ctx is not None:
-            m = self.ctx.modulus
-            bad = (a < 0) | (a >= m)
-            if bad.any():
-                raise ValueError(f"entry {a[bad][0]} is not a canonical residue mod {m}")
-        a = a.astype(dtype, copy=False)
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
@@ -275,7 +256,7 @@ def inverse_form_matrix(p: int, which: str) -> Matrix:
     _check_order(size)
     idx = np.arange(1, size + 1, dtype=np.int64)
     den = (idx[:, None] ** 2 + cross * np.outer(idx, idx) + idx[None, :] ** 2) % p
-    return _ratio_matrix(None, den, ModCtx.prime(p))
+    return _ratio_matrix(None, den, ModCtx(p))
 
 
 def prime_indicator_matrix(n: int) -> Matrix:
@@ -294,14 +275,11 @@ def _random_support_walk(n: int, seed: int, mirror: int | None) -> Matrix:
     """
     _check_order(n)
     rng = random.Random(seed)
-    support = checkerboard_support(n)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if not support[i, j] or (mirror == -1 and i == j):
-                continue
-            rows[i][j] = rng.randint(-9, 9) if mirror is None or j >= i else mirror * rows[j][i]
-    return Matrix(rows, None)
+    i, j = np.indices((n, n))
+    drawn = checkerboard_support(n) & (j - i >= {None: -n, 1: 0, -1: 1}[mirror])
+    a = np.zeros((n, n), dtype=object)
+    a[drawn] = [rng.randint(-9, 9) for _ in range(np.count_nonzero(drawn))]
+    return Matrix(a if mirror is None else a + mirror * np.triu(a, 1).T, None)
 
 
 def random_checkerboard_matrix(n: int, seed: int, symmetric: bool = False) -> Matrix:
@@ -331,6 +309,8 @@ def poly_eval_matrix(coeffs: Sequence[Sequence[int]], n: int) -> Matrix:
     try:
         table = np.zeros((len(coeffs), max(map(len, coeffs), default=0)), dtype=object)
         for k, row in enumerate(coeffs):
+            if any(isinstance(cl, bool) for cl in row):  # operator.index(True) is 1
+                raise TypeError
             table[k, :len(row)] = [operator.index(cl) for cl in row]
     except TypeError:
         raise ValueError("coeffs must be a list of lists of integers") from None
@@ -378,4 +358,9 @@ def read_matrix(fh: IO[str]) -> Matrix:
     for line in fh:
         if line.strip():
             raise ValueError(f"unexpected line after row {n}: {line.strip()!r}")
-    return Matrix(rows, ctx)
+    a = np.array(rows, dtype=object)
+    if m:
+        bad = (a < 0) | (a >= m)
+        if bad.any():
+            raise ValueError(f"entry {a[bad][0]} is not a canonical residue mod {m}")
+    return Matrix(a, ctx)

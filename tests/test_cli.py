@@ -65,7 +65,7 @@ def test_build_invform_wrong_residue_class(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("coeffs", ["5", "[1]", '[["a"]]', "[[1.5]]", "null"])
+@pytest.mark.parametrize("coeffs", ["5", "[1]", '[["a"]]', "[[1.5]]", "null", "[[1, true]]"])
 def test_build_polyeval_rejects_non_integer_coeffs(capsys, coeffs):
     code, out, err = run(capsys, "build", "polyeval", "--n", "3", "--coeffs", coeffs)
     assert (code, out) == (2, "")

@@ -441,21 +441,6 @@ def test_matrix_is_its_entries_and_its_modulus():
         m.n = 3
 
 
-def test_matrix_rejects_noncanonical_residues():
-    ctx = ModCtx.prime(5)
-    with pytest.raises(ValueError):
-        Matrix(((7,),), ctx)
-    for bad in (-1, 2**70):
-        with pytest.raises(ValueError):
-            Matrix(((bad,),), ctx)
-
-
-def test_matrix_rejects_non_integer_entries():
-    for ctx in (ModCtx.prime(7), ModCtx.prime(2**31 + 11), None):
-        with pytest.raises(ValueError):
-            Matrix([[1.5, 2], [3, 4]], ctx)
-
-
 def test_matrix_equality_is_identity():
     # equal entries do not make equal matrices: == never compares arrays
     a = Matrix([[1, 2], [3, 4]], None)
@@ -486,7 +471,8 @@ def test_roundtrip_modular(rng):
 
 
 def test_read_matrix_rejects_malformed():
-    for text in ("", "2\n1 2\n3 4\n", "2 0\n1 2\n", "2 0\n1 2\n3\n", "1 6\n2\n"):
+    non_integer = [f"2 {m}\n1.5 2\n3 4\n" for m in (7, 2**31 + 11, 0)]
+    for text in ("", "2\n1 2\n3 4\n", "2 0\n1 2\n", "2 0\n1 2\n3\n", "1 6\n2\n", *non_integer):
         with pytest.raises(ValueError):
             read_matrix(io.StringIO(text))
 
@@ -512,8 +498,50 @@ def test_write_then_read_is_identity_on_text(rng):
 
 
 def test_read_matrix_rejects_out_of_range_residue():
-    with pytest.raises(ValueError):
-        read_matrix(io.StringIO("1 5\n7\n"))
+    for bad in (7, -1, 2**70):
+        with pytest.raises(ValueError, match=f"^entry {bad} is not a canonical residue mod 5$"):
+            read_matrix(io.StringIO(f"1 5\n{bad}\n"))
+
+
+def _every_build(ctx):
+    """(name, Matrix) from every builder that takes ctx (None: exact mode), read_matrix too."""
+    m = 0 if ctx is None else ctx.modulus
+    builds = [(f"quadform {r}", quad_form_matrix(9, -4, 7, r, 5, ctx)) for r in ("full0", "from1")]
+    if ctx is None:
+        builds += [("primeind", prime_indicator_matrix(9)),
+                   ("checkerboard", random_checkerboard_matrix(9, 1)),
+                   ("symmetric checkerboard", random_checkerboard_matrix(9, 2, symmetric=True)),
+                   ("skew checkerboard", random_skew_checkerboard_matrix(4, 3)),
+                   ("polyeval", poly_eval_matrix([[1, -2, 3], [0, 4], [-5]], 6))]
+    else:
+        builds += [(f"cauchy {k.value} {d}", cauchy_type_matrix(k, 5, d, ctx))
+                   for k in EntryKind for d in ("zero", "one")]
+    if m == 11:  # both inverse forms are defined mod 11: 11 = 3 mod 4 and 11 = 2 mod 3
+        builds += [(f"invform {w}", inverse_form_matrix(11, w))
+                   for w in ("half_range_sq", "full_range_ij")]
+    rng = random.Random(m)
+    rows = [[rng.randrange(m) if m else rng.randint(-2**80, 2**80) for _ in range(4)]
+            for _ in range(4)]
+    text = f"4 {m}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    return builds + [("read_matrix", read_matrix(io.StringIO(text)))]
+
+
+@pytest.mark.parametrize("modulus", [11, 121, 2**31 + 11, 83**5, None],
+                         ids=["int64 p", "int64 p^2", "object 2^31+11", "object 83^5", "exact"])
+def test_every_builder_hands_matrix_canonical_entries_of_its_dtype(modulus):
+    """Matrix checks only the shape, so each builder must make the stored form itself."""
+    ctx = None if modulus is None else ModCtx(modulus)
+    builds = _every_build(ctx)
+    # quadform x2, then cauchy x8 (+ invform x2 mod 11) or the five exact builders, then read_matrix
+    assert len(builds) == {11: 13, None: 8}.get(modulus, 11)
+    for name, a in builds:
+        e = a.entries
+        assert e.dtype == matgen.entry_dtype(ctx), name
+        assert e.ndim == 2 and e.shape == (a.n, a.n) and not e.flags.writeable, name
+        if e.dtype == object:
+            assert {type(x) for x in e.flat} == {int}, name
+        if ctx is not None:
+            assert a.ctx.modulus == modulus and 0 <= e.min() and e.max() < modulus, name
 
 
 def test_builders_refuse_orders_above_max_order():
