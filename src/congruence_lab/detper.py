@@ -29,20 +29,6 @@ NAIVE_LIMIT = 9
 _INT64_SAFE = 2**62
 
 
-class OrderTooLarge(ValueError):
-    pass
-
-
-class SupportViolation(ValueError):
-    """Matrix is not checkerboard-supported; carries the offending cells (1-based)."""
-
-    def __init__(self, cells: list[tuple[int, int]]):
-        shown = ", ".join(f"({i},{j})" for i, j in cells[:8])
-        more = "" if len(cells) <= 8 else f" and {len(cells) - 8} more"
-        super().__init__(f"nonzero entries off the checkerboard support at {shown}{more}")
-        self.cells = cells
-
-
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -165,7 +151,7 @@ def _perm_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _naive_sum(matrix: Matrix, signed: bool) -> int:
     n = matrix.n
     if n > NAIVE_LIMIT:
-        raise OrderTooLarge(
+        raise ValueError(
             f"naive engines stop at n = {NAIVE_LIMIT} ({math.factorial(NAIVE_LIMIT)} "
             f"permutations); got n = {n}"
         )
@@ -179,12 +165,12 @@ def _naive_sum(matrix: Matrix, signed: bool) -> int:
 
 
 def det_naive(matrix: Matrix) -> int:
-    """Signed sum over all n! permutations (n <= 9)."""
+    """Signed sum over all n! permutations; n > NAIVE_LIMIT = 9 raises ValueError."""
     return _naive_sum(matrix, signed=True)
 
 
 def per_naive(matrix: Matrix) -> int:
-    """Unsigned sum over all n! permutations (n <= 9)."""
+    """Unsigned sum over all n! permutations; n > NAIVE_LIMIT = 9 raises ValueError."""
     return _naive_sum(matrix, signed=False)
 
 
@@ -200,11 +186,11 @@ def per_ryser(matrix: Matrix) -> int:
     2**(n-1) times the permanent.  The one finish divides that exactly, checks
     the remainder, and reduces mod m if the matrix has a modulus: the
     permanent is an integer polynomial in the entries, so per(lift) mod m is
-    the permanent over Z/m.  Orders above RYSER_CAP raise OrderTooLarge.
+    the permanent over Z/m.  Orders above RYSER_CAP raise ValueError.
     """
     n = matrix.n
     if n > RYSER_CAP:
-        raise OrderTooLarge(
+        raise ValueError(
             f"permanent of order {n} exceeds the cap {RYSER_CAP} "
             f"(would need 2**{n - 1} = {2 ** (n - 1)} row-sum updates)"
         )
@@ -254,12 +240,16 @@ def factor_checkerboard(matrix: Matrix, mode: str) -> int:
     Order n = 2m+1: per(A) = a11 * per(B) * per(C) and the det analogue, where
     B takes even rows against odd columns and C the complementary block.  The
     halves are computed with the plain engines (no nested factorization).
+    A nonzero entry off the support raises ValueError naming the first eight
+    such cells (1-based) and how many more there are.
     """
     if mode not in ("det", "per"):
         raise ValueError(f"mode must be 'det' or 'per', got {mode!r}")
     bad = checkerboard_violations(matrix)
     if bad:
-        raise SupportViolation(bad)
+        shown = ", ".join(f"({i},{j})" for i, j in bad[:8])
+        more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
+        raise ValueError(f"nonzero entries off the checkerboard support at {shown}{more}")
     n = matrix.n
     a = matrix.entries
     a11 = int(a[0, 0])

@@ -32,21 +32,6 @@ class EntryKind(enum.Enum):
     RATIO_SUM_SQUARES = "ratiosumsquares"
 
 
-class NonUnitDenominator(ValueError):
-    """A term denominator is not invertible under the requested modulus."""
-
-    def __init__(self, row: int, col: int, denominator: int, modulus: int, gcd: int):
-        super().__init__(
-            f"denominator {denominator} at (j={row}, k={col}) is not a unit "
-            f"mod {modulus} (gcd = {gcd})"
-        )
-        self.row = row
-        self.col = col
-        self.denominator = denominator
-        self.modulus = modulus
-        self.gcd = gcd
-
-
 #: moduli below this store residues as int64, so a product of two fits in int64
 INT64_MODULUS_LIMIT = 2**31
 
@@ -171,8 +156,8 @@ def _ratio_matrix(num: np.ndarray | None, den: np.ndarray, ctx: ModCtx) -> Matri
     in absolute value, so that its int64 products with residues fit.  Each
     distinct denominator is inverted once, into a table indexed by
     den - den.min() (or by den mod m, when that leaves fewer slots).  The
-    first non-unit cell in row-major order raises NonUnitDenominator (1-based
-    row and column).
+    first non-unit cell in row-major order raises ValueError: "denominator d
+    at (j=row, k=col) is not a unit mod m (gcd = g)", 1-based.
     """
     m = ctx.modulus
     lo = int(den.min())
@@ -188,7 +173,8 @@ def _ratio_matrix(num: np.ndarray | None, den: np.ndarray, ctx: ModCtx) -> Matri
     if 0 in inverses:  # 0 is never an inverse, so it marks the non-units
         j, k = divmod(int(np.argmax(cells == 0)), len(den))
         bad = int(den[j, k])
-        raise NonUnitDenominator(j + 1, k + 1, bad, m, math.gcd(bad, m))
+        raise ValueError(f"denominator {bad} at (j={j + 1}, k={k + 1}) is not a unit "
+                         f"mod {m} (gcd = {math.gcd(bad, m)})")
     return Matrix(cells if num is None else num * cells % m, ctx)
 
 
@@ -213,7 +199,7 @@ def cauchy_type_matrix(kind: EntryKind, size: int, diagonal: str, ctx: ModCtx) -
 
     diagonal is "zero" or "one".  Index sets larger than the denominators can
     support (e.g. 1..p-1 for a squares kind mod p, where j + k = p makes
-    j^2 - k^2 vanish) raise NonUnitDenominator.
+    j^2 - k^2 vanish) raise ValueError, as does a bad kind, diagonal, size or ctx.
     """
     if kind not in _CAUCHY_TERMS:
         raise ValueError(f"{kind} is not a Cauchy-style entry kind")
@@ -238,7 +224,7 @@ def inverse_form_matrix(p: int, which: str) -> Matrix:
 
     Denominators are units exactly under the residue classes where these
     families are studied (p = 3 mod 4, resp. p = 2 mod 3); outside them the
-    builder raises NonUnitDenominator.
+    builder raises ValueError, as it does for a p that is not an odd prime.
 
     Mod p, 1/x = x^(p-2), so the full-range matrix is the quadratic-form power
     grid with (c, d) = (-1, 1) over 1..p-1.  Its det is stated through its

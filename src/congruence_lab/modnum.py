@@ -13,34 +13,20 @@ import math
 from dataclasses import dataclass
 
 
-class NonUnitError(ArithmeticError):
-    """Inversion of a residue that shares a factor with the modulus."""
-
-    def __init__(self, value: int, modulus: int, gcd: int):
-        super().__init__(f"{value} is not a unit mod {modulus} (gcd = {gcd})")
-        self.value = value
-        self.modulus = modulus
-        self.gcd = gcd
-
-
 class InconclusiveValuation(ArithmeticError):
     """x is 0 mod p^cap, so the p-adic valuation cannot be resolved at this cap."""
 
-    def __init__(self, p: int, cap: int):
-        super().__init__(
-            f"value is divisible by {p}^{cap}; valuation >= {cap} cannot be resolved"
-        )
-        self.p = p
-        self.cap = cap
-
 
 def inv_mod(a: int, m: int) -> int:
-    """Inverse of a mod m (works for any modulus, not just primes)."""
+    """Inverse of a mod m (works for any modulus, not just primes).
+
+    A non-unit raises ArithmeticError: "a is not a unit mod m (gcd = g)".
+    """
     a %= m
     try:
         return pow(a, -1, m)
     except ValueError:
-        raise NonUnitError(a, m, math.gcd(a, m)) from None
+        raise ArithmeticError(f"{a} is not a unit mod {m} (gcd = {math.gcd(a, m)})") from None
 
 
 #: the prime bases of the Miller-Rabin test below
@@ -190,9 +176,10 @@ def double_factorial_mod(n: int, ctx: ModCtx) -> int:
 def padic_valuation(x: int, p: int, cap: int) -> tuple[int, int]:
     """Largest v < cap with p^v | x, for x known modulo p^cap.
 
-    Returns (v, unit mod p) where unit = x / p^v.  Raises InconclusiveValuation
-    when x = 0 mod p^cap -- the cap saturated, and pretending to know the
-    valuation would be a silent wraparound.
+    Returns (v, unit mod p) where unit = x / p^v.  Raises InconclusiveValuation,
+    an ArithmeticError, when x = 0 mod p^cap -- the cap saturated, and
+    pretending to know the valuation would be a silent wraparound.  A bad p or
+    cap raises ValueError.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"needs an odd prime, got {p}")
@@ -200,7 +187,8 @@ def padic_valuation(x: int, p: int, cap: int) -> tuple[int, int]:
         raise ValueError(f"cap must be >= 1, got {cap}")
     r = x % (p**cap)
     if r == 0:
-        raise InconclusiveValuation(p, cap)
+        raise InconclusiveValuation(
+            f"value is divisible by {p}^{cap}; valuation >= {cap} cannot be resolved")
     v = 0
     while r % p == 0:
         r //= p

@@ -118,8 +118,8 @@ def units_grid_det(p: int, c: int, d: int) -> int:
         e2 = (g2 - e0 * h[5] - e1 * h[4]) % p
         e3 = (g3 - e0 * h[6] - e1 * h[5] - e2 * h[4]) % p
         new = min(n - known, j)  # h_(J+k) for k = 4 .. known-1
-        hs[known + 3:known + 3 + new] = (e0 * hs[7:7 + new] + e1 * hs[6:6 + new]
-                                         + e2 * hs[5:5 + new] + e3 * hs[4:4 + new]) % p
+        np.remainder(np.correlate(hs[4:7 + new], [e3, e2, e1, e0]), p,
+                     out=hs[known + 3:known + 3 + new])
         known += new
     # b_k = g_k + g_(k+p-1), with g_n = h_n + c*h_(n-p)
     b = (hs[3:p + 2] + hs[p + 2:2 * p + 1] + c * hs[2:p + 1]) % p

@@ -8,11 +8,12 @@ agreement between the two routes actually means something.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from congruence_lab.matgen import EntryKind, Matrix, NonUnitDenominator, cauchy_type_matrix
-from congruence_lab.modnum import ModCtx, NonUnitError, inv_mod
+from congruence_lab.matgen import EntryKind, Matrix, cauchy_type_matrix
+from congruence_lab.modnum import ModCtx, inv_mod
 
 ORACLE_LIMIT = 9
 
@@ -88,8 +89,9 @@ def _term_value(kind: EntryKind, j: int, k: int, ctx: ModCtx, cache: dict[int, i
     if r not in cache:
         try:
             cache[r] = inv_mod(r, m)
-        except NonUnitError as e:
-            raise NonUnitDenominator(j, k, den, m, e.gcd) from None
+        except ArithmeticError:
+            raise ValueError(f"denominator {den} at (j={j}, k={k}) is not a unit "
+                             f"mod {m} (gcd = {math.gcd(r, m)})") from None
     return num * cache[r] % m
 
 

@@ -1,15 +1,14 @@
 """Determinant and permanent engines, checkerboard factorization."""
 
+import io
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import detper, matgen
+from congruence_lab import cli, detper, matgen
 from congruence_lab.detper import (
-    OrderTooLarge,
-    SupportViolation,
     checkerboard_violations,
     det_exact,
     det_field,
@@ -158,9 +157,11 @@ def test_engines_agree_modular(seed, n, mod):
 
 def test_naive_limit():
     m = exact([[1] * 10 for _ in range(10)])
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(ValueError,
+                       match=r"^naive engines stop at n = 9 \(362880 permutations\); got n = 10$"):
         det_naive(m)
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(ValueError,
+                       match=r"^naive engines stop at n = 9 \(362880 permutations\); got n = 10$"):
         per_naive(m)
 
 
@@ -181,7 +182,8 @@ def test_naive_numpy_path_matches_python_path(rng):
 def test_ryser_cap_explicit():
     assert detper.RYSER_CAP == 28
     m = exact([[0] * 29 for _ in range(29)])
-    with pytest.raises(OrderTooLarge, match="exceeds the cap 28"):
+    with pytest.raises(ValueError, match=r"^permanent of order 29 exceeds the cap 28 "
+                                         r"\(would need 2\*\*28 = 268435456 row-sum updates\)$"):
         per_ryser(m)
     m = exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert per_ryser(m) == per_naive(m)
@@ -192,7 +194,8 @@ def test_ryser_hard_limit_not_overridable():
     m = exact([[0] * 33 for _ in range(33)])
     with pytest.raises(TypeError):
         per_ryser(m, cap=100)
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(ValueError, match=r"^permanent of order 33 exceeds the cap 28 "
+                                         r"\(would need 2\*\*32 = 4294967296 row-sum updates\)$"):
         per_ryser(m)
 
 
@@ -275,9 +278,28 @@ def test_checkerboard_violations_lists_cells():
     m = exact([[1, 2], [3, 4]])
     cells = checkerboard_violations(m)
     assert cells == [(2, 2)]
-    with pytest.raises(SupportViolation) as e:
+    with pytest.raises(ValueError,
+                       match=r"^nonzero entries off the checkerboard support at \(2,2\)$"):
         factor_checkerboard(m, "det")
-    assert e.value.cells == [(2, 2)]
+
+
+_TWELVE_OFF_SUPPORT = ("nonzero entries off the checkerboard support at "
+                       "(1,3), (1,5), (2,2), (2,4), (3,1), (3,3), (3,5), (4,2) and 4 more")
+
+
+@pytest.mark.parametrize("mode", ["det", "per"])
+def test_support_violation_names_eight_cells_and_counts_the_rest(mode):
+    m = exact([[1] * 5 for _ in range(5)])
+    assert len(checkerboard_violations(m)) == 12
+    with pytest.raises(ValueError) as e:
+        factor_checkerboard(m, mode)
+    assert str(e.value) == _TWELVE_OFF_SUPPORT
+
+
+def test_checkerboard_engine_refuses_an_all_ones_file_in_one_line(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("5 0\n" + "1 1 1 1 1\n" * 5))
+    code = cli.main(["det", "-", "--engine", "checkerboard"])
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {_TWELVE_OFF_SUPPORT}\n"))
 
 
 @pytest.mark.parametrize("n", range(1, 10))

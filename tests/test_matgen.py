@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from congruence_lab import matgen
 from congruence_lab.matgen import (
     EntryKind,
     Matrix,
-    NonUnitDenominator,
     cauchy_type_matrix,
     inverse_form_matrix,
     poly_eval_matrix,
@@ -161,11 +161,12 @@ def test_cauchy_entry_formulas():
 
 def test_cauchy_nonunit_denominator_is_reported():
     ctx = ModCtx(9)
-    with pytest.raises(NonUnitDenominator) as e:
+    with pytest.raises(ValueError, match=r"^denominator -3 at \(j=1, k=4\) is not a unit "
+                                         r"mod 9 \(gcd = 3\)$"):
         cauchy_type_matrix(EntryKind.INV_DIFF, 6, "zero", ctx)
-    assert e.value.gcd == 3
     # squares kind hits j + k = modulus even sooner
-    with pytest.raises(NonUnitDenominator):
+    with pytest.raises(ValueError, match=r"^denominator -3 at \(j=1, k=2\) is not a unit "
+                                         r"mod 9 \(gcd = 3\)$"):
         cauchy_type_matrix(EntryKind.INV_DIFF_SQUARES, 3, "one", ctx)
 
 
@@ -178,12 +179,20 @@ def test_cauchy_needs_ctx_and_valid_kind():
         cauchy_type_matrix(EntryKind.INV_DIFF, 3, "two", ModCtx.prime(7))
 
 
+_NON_UNIT = re.compile(r"denominator -?\d+ at \(j=\d+, k=\d+\) is not a unit mod \d+ \(gcd = \d+\)")
+
+
 def _built_or_error(build):
-    """Entries as nested lists, or the NonUnitDenominator the build raised, as a tuple."""
+    """Entries as nested lists, or the text of the non-unit refusal the build raised.
+
+    The text names the cell, the denominator, the modulus and the gcd.
+    """
     try:
         return build().entries.tolist()
-    except NonUnitDenominator as e:
-        return (str(e), e.row, e.col, e.denominator, e.modulus, e.gcd)
+    except ValueError as e:
+        if not _NON_UNIT.fullmatch(str(e)):
+            raise
+        return str(e)
 
 
 def _oracle_cauchy(kind, size, diagonal, ctx):
@@ -245,10 +254,12 @@ def test_inverse_form_full_range_entries():
 
 def test_inverse_form_raises_outside_residue_class():
     # p = 13 = 1 (mod 4): i^2 + j^2 can vanish (2^2 + 3^2 = 13)
-    with pytest.raises(NonUnitDenominator):
+    with pytest.raises(ValueError, match=r"^denominator 0 at \(j=1, k=5\) is not a unit "
+                                         r"mod 13 \(gcd = 13\)$"):
         inverse_form_matrix(13, "half_range_sq")
     # p = 7 = 1 (mod 3): i^2 - ij + j^2 can vanish (1 - 3 + 9 = 7)
-    with pytest.raises(NonUnitDenominator):
+    with pytest.raises(ValueError, match=r"^denominator 0 at \(j=1, k=3\) is not a unit "
+                                         r"mod 7 \(gcd = 7\)$"):
         inverse_form_matrix(7, "full_range_ij")
     with pytest.raises(ValueError):
         inverse_form_matrix(9, "half_range_sq")
@@ -267,8 +278,7 @@ def test_inverse_form_matches_fermat_inverse(which):
         zeros = [(i + 1, j + 1) for i, row in enumerate(dens) for j, x in enumerate(row) if x == 0]
         if zeros:
             i, j = zeros[0]
-            want = (f"denominator 0 at (j={i}, k={j}) is not a unit mod {p} (gcd = {p})",
-                    i, j, 0, p, p)
+            want = f"denominator 0 at (j={i}, k={j}) is not a unit mod {p} (gcd = {p})"
         else:
             want = [[pow(x, p - 2, p) for x in row] for row in dens]
         assert _built_or_error(lambda: inverse_form_matrix(p, which)) == want, p
