@@ -26,7 +26,7 @@ from .matgen import (
     EntryKind,
     Matrix,
     cauchy_type_matrix,
-    inverse_form_matrix,
+    inverse_form_matrix,  # perfbench/tracing.TARGETS wraps verify.inverse_form_matrix
     quad_form_matrix,
 )
 from .modnum import (
@@ -82,7 +82,7 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-def units_grid_det(p: int, c: int, d: int) -> int:
+def units_grid_det(p: int, c: int, d: int, order: int | None = None) -> int:
     """D_p(c, d) = det[(i^2 + c*i*j + d*j^2)^(p-2)] over 1 <= i, j <= p-1, mod p.
 
     With g(t) = (1 + c*t + d*t^2)^(p-2), entry (i, j) is i^-2 * g(j/i), and on
@@ -96,7 +96,9 @@ def units_grid_det(p: int, c: int, d: int) -> int:
     J and k >= 0, h_(k+J) = e0*h_k + e1*h_(k-1) + e2*h_(k-2) + e3*h_(k-3), with e
     read off h_J..h_(J+3).  From 64 terms found one by one, each vector step
     thus doubles the known terms: O(p) memory and O(log p) vector steps.
-    Every int64 intermediate is below 4p^2 < 2^63.
+    Every int64 intermediate is below 4p^2 < 2^63.  With order = n dividing p-1 it is
+    det[g(y/x)] over x, y in the order-n subgroup of the units instead: there t^n = 1, so
+    the b_k fold once more over k mod n, and [x^-l][y^l] = n*I makes it n^n * prod b_l.
     """
     if p > MAX_UNITS_P:
         raise ValueError(f"units_grid_det takes p up to {MAX_UNITS_P}, got {p}")
@@ -124,6 +126,9 @@ def units_grid_det(p: int, c: int, d: int) -> int:
     # b_k = g_k + g_(k+p-1), with g_n = h_n + c*h_(n-p)
     b = (hs[3:p + 2] + hs[p + 2:2 * p + 1] + c * hs[2:p + 1]) % p
     det = 1  # p is prime, so the product is 0 exactly when some b_k is
+    if order is not None:
+        b = b.reshape(-1, order).sum(axis=0) % p
+        det = pow(order, order, p)
     while len(b) > 16:  # pairwise halving; below 16 terms one numpy step costs more than they do
         half = len(b) // 2
         if len(b) % 2:
@@ -229,6 +234,8 @@ def check_inverse_form_det(p: int, which: str) -> Outcome:
     at all 48 such primes 5 <= p < 500.  A det = 0 has symbol 0 and fails.
     Mod p, 1/x = x^(p-2), so the full-range matrix is the units grid at
     (c, d) = (-1, 1), and its det is units_grid_det(p, -1, 1); no matrix is built.
+    With X = i^2 the half-range matrix is diag(X^-1)[(1 + Y/X)^(p-2)] over the n = (p-1)/2
+    squares, and prod X = (n!)^2 = 1 at p = 3 (mod 4): its det is units_grid_det(p, 1, 0, n).
     """
     if which == "half_range_sq" and p % 4 != 3:
         return _na("needs p = 3 (mod 4)")
@@ -236,7 +243,7 @@ def check_inverse_form_det(p: int, which: str) -> Outcome:
         return _na("needs p = 2 (mod 3)")
     chi2 = legendre(2, p)
     if which == "half_range_sq":
-        v = det_field(inverse_form_matrix(p, which))
+        v = units_grid_det(p, 1, 0, (p - 1) // 2)
         return _outcome(v, f"{chi2 % p} (mod {p})", v == chi2 % p)
     v = units_grid_det(p, -1, 1)
     s = legendre(v, p)
@@ -435,7 +442,7 @@ CHECKS: dict[str, CheckSpec] = {
     "dp-theorem": CheckSpec(("p", "variant", "c"), _one(check_vanishing_family),
                             limit=MAX_UNITS_P, cmax=10, optional=("c",), ranges={
         "c": lambda b, cell: range(b.cmax + 1) if cell["variant"] == "c_minus1" else (None,)}),
-    "background": CheckSpec(("p", "which"), _one(check_inverse_form_det)),
+    "background": CheckSpec(("p", "which"), _one(check_inverse_form_det), limit=MAX_UNITS_P),
     "column-relation": CheckSpec(_PCD, _one(check_column_relation), cmax=6, dmax=6),
     "conj1": CheckSpec(("n", "c", "d"), _one(_conj1), cmax=3, dmax=6),
     "conj2": CheckSpec(("p",), _one(_conj2), limit=MAX_UNITS_P),
@@ -508,7 +515,7 @@ def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> 
     """Evaluate one check cell: one report per part, in the order the parts run.
 
     This is the one place reports are made.  Before any work, besides what
-    _admit refuses, a missing param and a p or n above the id's limit raise
+    _admit refuses, a missing param, n < 1 and a p or n above the id's limit raise
     ValueError naming the flag.  A report's params are the cell's params that
     are given, plus "part" for a multi-part cell; elapsed_ms is the time spent
     producing that part's outcome, including any matrix built for it (a matrix
@@ -522,6 +529,8 @@ def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> 
     for name in ("p", "n"):
         if cell.get(name, 0) > spec.limit:
             raise ValueError(f"{check_id} takes --{name} up to {spec.limit}, got {cell[name]}")
+    if cell.get("n", 1) < 1:
+        raise ValueError(f"n must be >= 1, got {cell['n']}")
     if "p" in cell:  # every statement in p is about an odd prime p
         _require_odd_prime(cell["p"])
     cap = spec.cap if per_order_cap is None else per_order_cap  # a cap of 0 is a cap

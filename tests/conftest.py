@@ -54,10 +54,18 @@ def harmonic2_mod(p):
     return sum(inv_mod(i, p) ** 2 for i in range(1, p)) % p
 
 
-def units_grid_det_by_elimination(p, c, d):
-    """D_p(c, d) by building the order-(p-1) units-grid matrix and eliminating mod p."""
-    matrix = quad_form_matrix(p, c, d, "from1", p - 2, ModCtx.prime(p))
-    return det_field(matrix)
+def units_grid_det_by_elimination(p, c, d, order=None):
+    """D_p(c, d) by building the order-(p-1) units-grid matrix and eliminating mod p.
+
+    With order, det[(1 + c*y/x + d*(y/x)^2)^(p-2)] over x, y in the subgroup of
+    the units of that order, built entry by entry and eliminated mod p.
+    """
+    if order is None:
+        return det_field(quad_form_matrix(p, c, d, "from1", p - 2, ModCtx.prime(p)))
+    group = [x for x in range(1, p) if pow(x, order, p) == 1]
+    rows = [[pow(1 + c * t + d * t * t, p - 2, p) for t in (y * inv_mod(x, p) % p for y in group)]
+            for x in group]
+    return det_field(Matrix(rows, ModCtx.prime(p)))
 
 
 def units_grid_det_by_recurrence(p, c, d):

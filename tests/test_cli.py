@@ -276,6 +276,7 @@ def test_a_matrix_free_check_takes_p_up_to_max_units_p():
     ["sweep", "p3", "--cmax", "20000", "--dmax", "20000"],
     ["sweep", "reflection", "--pmax", "13", "--cmax", "5000", "--dmax", "5000"],
     ["sweep", "reflection", "--pmax", "100000"],  # 49 cells for each of 9591 odd primes
+    ["sweep", "background", "--pmax", "1000000"],  # 2 cells for each of 78497 odd primes
 ])
 def test_grids_beyond_max_cells_are_refused_before_building(argv):
     # built in full, the first two grids would outgrow a 1 GiB address space
@@ -636,9 +637,11 @@ def test_sweep_background_reports_failures(capsys, monkeypatch):
 
     real_units_grid_det = verify.units_grid_det
 
-    def flipped_full_range(p, c, d):
-        # multiply full-range dets by a non-residue, which flips their symbol
-        v = real_units_grid_det(p, c, d)
+    def flipped_full_range(p, c, d, order=None):
+        # multiply full-range dets (no order) by a non-residue, which flips their symbol
+        v = real_units_grid_det(p, c, d, order)
+        if order is not None:
+            return v
         return v * next(a for a in range(2, p) if legendre(a, p) == -1) % p
 
     monkeypatch.setattr(verify, "units_grid_det", flipped_full_range)
@@ -684,6 +687,8 @@ def test_sweep_rejects_nonpositive_jobs(capsys):
     ("sweep conj --id 5 --pmin 13 --pmax 5", "pmin 13 is above pmax 5"),
     ("sweep conj --id 1 --nmin 11 --nmax 9", "nmin 11 is above nmax 9"),
     ("sweep conj --id 1 --nmin -3 --nmax 9", "nmin must be >= 1, got -3"),
+    ("check conj --id 1 --n 0 --c 1 --d 2", "n must be >= 1, got 0"),
+    ("check conj --id 1 --n -5 --c 1 --d 2", "n must be >= 1, got -5"),
     ("sweep background --pmax 13 --id 2", "background takes no --id"),
     ("sweep eq15 --pmax 13 --nmax 9", "eq15 sweep takes no --nmax"),
     ("sweep conj --id 2 --pmax 13 --cmax 3", "conj2 sweep takes no --cmax"),

@@ -217,13 +217,47 @@ def test_units_grid_det_takes_p_up_to_max_units_p():
     assert units_grid_det(999983, 2, -1) == 0  # conj3 at p = 7 (mod 8): not a -1 symbol
 
 
+def test_units_grid_det_over_every_subgroup_matches_elimination():
+    # order = n folds the b_k mod n and multiplies by n^n: det[g(y/x)] over the order-n subgroup
+    cases = [(p, c, d, n) for p in odd_primes_in(3, 23) for n in range(1, p) if (p - 1) % n == 0
+             for c in range(p) for d in range(p)]
+    mismatches = [case for case in cases
+                  if units_grid_det(*case) != units_grid_det_by_elimination(*case)]
+    assert len(cases) == 7514
+    assert mismatches == []
+
+
+def test_background_half_range_cell_matches_elimination():
+    # [1/(i^2 + j^2)] over 1 <= i, j <= (p-1)/2, eliminated, against the subgroup fold
+    primes = [p for p in odd_primes_in(3, 499) if p % 4 == 3]
+    got = [one("background", {"p": p, "which": "half_range_sq"}).computed for p in primes]
+    assert got == [str(det_field(inverse_form_matrix(p, "half_range_sq"))) for p in primes]
+    assert len(primes) == 50
+
+
+def test_background_half_range_cell_matches_the_closed_form():
+    # b_l = (-1)^(l+1)*n, so det = n^(2n) * (-1)^(n(n+1)/2) (mod p): a test oracle only
+    cells = sweep_cells("background", pmax=20011, which="half_range_sq")
+    reports = [r for r in run_sweep(cells) if r.params["p"] % 4 == 3]
+    mismatches = []
+    for r in reports:
+        p = r.params["p"]
+        n = (p - 1) // 2
+        if r.computed != str(pow(n, 2 * n, p) * (-1) ** (n * (n + 1) // 2) % p):
+            mismatches.append(p)
+    assert len(reports) == 1137
+    assert mismatches == []
+    assert {r.verdict for r in reports} == {PASS}
+
+
 def test_units_grid_checks_build_no_matrix(monkeypatch):
     cells = [("conj2", {"p": 53}), ("conj3", {"p": 53}), ("conj4", {"p": 53}),
              ("reflection", {"p": 53, "c": 2, "d": 3}),
              ("dp-theorem", {"p": 47, "variant": "c_minus1", "c": 4}),
              ("dp-theorem", {"p": 47, "variant": "two_two"}),
              ("dp-theorem", {"p": 47, "variant": "six_six"}),
-             ("background", {"p": 47, "which": "full_range_ij"})]
+             ("background", {"p": 47, "which": "full_range_ij"}),
+             ("background", {"p": 47, "which": "half_range_sq"})]
 
     def records():
         return [{**r.as_record(), "elapsed_ms": None} for r in run_sweep(cells)]
@@ -621,7 +655,7 @@ def test_sweep_cells_ignores_none_bounds():
 
 
 def test_each_id_states_its_limit_and_its_permanent_cap():
-    matrix_free = {"reflection", "dp-theorem", "conj2", "conj3", "conj4"}
+    matrix_free = {"reflection", "dp-theorem", "background", "conj2", "conj3", "conj4"}
     assert {k: s.limit for k, s in CHECKS.items()} == {
         k: MAX_UNITS_P if k in matrix_free else MAX_ORDER for k in CHECKS}
     assert {k: s.cap for k, s in CHECKS.items() if s.cap is not None} == {
