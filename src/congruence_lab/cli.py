@@ -13,9 +13,12 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import sys
 from typing import IO, Callable, Iterable
 
+# before numpy loads: nothing in this package calls BLAS; ROADMAP item 11's blocked LU must revisit it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import detper, matgen, verify
 from .matgen import EntryKind, Matrix
 from .modnum import ModCtx, is_prime

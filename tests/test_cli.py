@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -173,6 +174,32 @@ def test_stdin_extra_row_is_refused():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: cannot read matrix from -: unexpected line after row 2: '5 6'\n"
+
+
+def _fresh_interpreter(code, **env):
+    """stdout of ``python -c code`` with OPENBLAS_NUM_THREADS unset, then ``env`` added."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], env={**environ, **env},
+                          capture_output=True, text=True, timeout=30, check=True)
+    return proc.stdout
+
+
+@pytest.mark.parametrize("env, expected", [({}, "1\n"), ({"OPENBLAS_NUM_THREADS": "3"}, "3\n")])
+def test_cli_import_pins_openblas_to_one_thread_unless_set(env, expected):
+    code = "import os, congruence_lab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_interpreter(code, **env) == expected
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts the entries of /proc/self/task")
+def test_cli_import_starts_no_blas_thread():
+    code = "import os, congruence_lab.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh_interpreter(code) == "1\n"
+
+
+def test_library_import_leaves_openblas_threads_alone():
+    # someone else's process that imports an engine module keeps its own BLAS settings
+    code = "import os, congruence_lab.verify; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh_interpreter(code) == "None\n"
 
 
 def test_trailing_blank_lines_are_accepted(tmp_path, capsys):
