@@ -170,7 +170,7 @@ def cmd_engine(args: argparse.Namespace) -> int:
     engine = args.engine
     matrix = _resolve_input(args)
     if engine == "auto":
-        supported = not detper.checkerboard_violations(matrix)
+        supported = not detper.checkerboard_violations(matrix).any()
         engine = "checkerboard" if supported else args.fallback(matrix)
     value = args.engines[engine](matrix)
     print(value)

@@ -126,7 +126,7 @@ def det_exact(matrix: Matrix, reduce_ctx: ModCtx | None = None) -> int:
             ai[k] = 0
         prev = akk
     det = sign * a[n - 1][n - 1]
-    return det if reduce_ctx is None else reduce_ctx.reduce(det)
+    return det if reduce_ctx is None else det % reduce_ctx.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +223,9 @@ def _ryser_sum(rows: list[list[int]], n: int) -> int:
 # checkerboard factorization
 
 
-def checkerboard_violations(matrix: Matrix) -> list[tuple[int, int]]:
-    """Cells (1-based) that break the support rule: nonzero with i+j even > 2."""
-    off_support = ~checkerboard_support(matrix.n) & (matrix.entries != 0)
-    return [(i + 1, j + 1) for i, j in np.argwhere(off_support).tolist()]
+def checkerboard_violations(matrix: Matrix) -> np.ndarray:
+    """Boolean mask of the cells that break the support rule: nonzero with 1-based i+j even > 2."""
+    return ~checkerboard_support(matrix.n) & (matrix.entries != 0)
 
 
 def _half_det(half: Matrix) -> int:
@@ -245,16 +244,16 @@ def factor_checkerboard(matrix: Matrix, mode: str) -> int:
     """
     if mode not in ("det", "per"):
         raise ValueError(f"mode must be 'det' or 'per', got {mode!r}")
-    bad = checkerboard_violations(matrix)
-    if bad:
-        shown = ", ".join(f"({i},{j})" for i, j in bad[:8])
+    bad = np.argwhere(checkerboard_violations(matrix)) + 1
+    if len(bad):
+        shown = ", ".join(f"({i},{j})" for i, j in bad[:8].tolist())
         more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
         raise ValueError(f"nonzero entries off the checkerboard support at {shown}{more}")
     n = matrix.n
     a = matrix.entries
     a11 = int(a[0, 0])
     if n == 1:
-        return a11 if matrix.ctx is None else matrix.ctx.reduce(a11)
+        return a11 if matrix.ctx is None else a11 % matrix.ctx.modulus
     m, odd = divmod(n, 2)
     # 0-based: even 1-based rows -> 1,3,..;  odd 1-based cols -> 0,2,.. (2,4,.. past a11)
     b, c = Matrix(a[1::2, 2 * odd::2], matrix.ctx), Matrix(a[2 * odd::2, 1::2], matrix.ctx)
@@ -265,4 +264,4 @@ def factor_checkerboard(matrix: Matrix, mode: str) -> int:
         value = scale * _half_det(b) * _half_det(c)
         if m % 2 == 1:
             value = -value
-    return value if matrix.ctx is None else matrix.ctx.reduce(value)
+    return value if matrix.ctx is None else value % matrix.ctx.modulus

@@ -1,6 +1,6 @@
 """Exact modular arithmetic and the scalar number theory shared by every module.
 
-A ModCtx is a modulus with its reduction, and inv_mod inverts a residue modulo
+A ModCtx is a checked odd modulus, and inv_mod inverts a residue modulo
 any modulus; scalar residues are canonical ints in [0, modulus).  (How a
 Matrix stores its residues is up to matgen.)  Moduli are always odd here: the
 matrix families under study never need an even modulus, and rejecting them
@@ -96,7 +96,7 @@ def odd_primes_in(lo: int, hi: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ModCtx:
-    """An odd modulus m >= 3; all residue arithmetic goes through here.
+    """An odd modulus m >= 3; residues mod it are reduced with %.
 
     ModCtx(m) takes any odd m >= 3 and asks nothing else of it: det_mod and
     the other engines work alike for every such modulus.  The prime and
@@ -128,11 +128,6 @@ class ModCtx:
         if k < 1:
             raise ValueError(f"prime-power exponent must be >= 1, got {k}")
         return cls(p**k)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
 
 
 def legendre(a: int, p: int) -> int:

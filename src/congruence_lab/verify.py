@@ -82,9 +82,10 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-def units_grid_det(p: int, c: int, d: int, order: int | None = None) -> int:
-    """D_p(c, d) = det[(i^2 + c*i*j + d*j^2)^(p-2)] over 1 <= i, j <= p-1, mod p.
+def units_grid_coefficients(p: int, c: int, d: int) -> np.ndarray:
+    """b_0 .. b_(p-2) mod p, the folded coefficients whose product is D_p(c, d), as int64.
 
+    D_p(c, d) = det[(i^2 + c*i*j + d*j^2)^(p-2)] over 1 <= i, j <= p-1, mod p.
     With g(t) = (1 + c*t + d*t^2)^(p-2), entry (i, j) is i^-2 * g(j/i), and on
     the units g(t) = sum_k b_k t^k, where b_k sums the coefficients of g over
     the exponents = k (mod p-1).  So the matrix is diag(i^-2)[i^-k]diag(b)[j^k],
@@ -96,9 +97,7 @@ def units_grid_det(p: int, c: int, d: int, order: int | None = None) -> int:
     J and k >= 0, h_(k+J) = e0*h_k + e1*h_(k-1) + e2*h_(k-2) + e3*h_(k-3), with e
     read off h_J..h_(J+3).  From 64 terms found one by one, each vector step
     thus doubles the known terms: O(p) memory and O(log p) vector steps.
-    Every int64 intermediate is below 4p^2 < 2^63.  With order = n dividing p-1 it is
-    det[g(y/x)] over x, y in the order-n subgroup of the units instead: there t^n = 1, so
-    the b_k fold once more over k mod n, and [x^-l][y^l] = n*I makes it n^n * prod b_l.
+    Every int64 intermediate is below 4p^2 < 2^63.
     """
     if p > MAX_UNITS_P:
         raise ValueError(f"units_grid_det takes p up to {MAX_UNITS_P}, got {p}")
@@ -124,7 +123,17 @@ def units_grid_det(p: int, c: int, d: int, order: int | None = None) -> int:
                      out=hs[known + 3:known + 3 + new])
         known += new
     # b_k = g_k + g_(k+p-1), with g_n = h_n + c*h_(n-p)
-    b = (hs[3:p + 2] + hs[p + 2:2 * p + 1] + c * hs[2:p + 1]) % p
+    return (hs[3:p + 2] + hs[p + 2:2 * p + 1] + c * hs[2:p + 1]) % p
+
+
+def units_grid_det(p: int, c: int, d: int, order: int | None = None) -> int:
+    """D_p(c, d) mod p: the product of units_grid_coefficients(p, c, d).
+
+    With order = n dividing p-1 it is det[g(y/x)] over x, y in the order-n subgroup of
+    the units instead: there t^n = 1, so the b_k fold once more over k mod n, and
+    [x^-l][y^l] = n*I makes it n^n * prod b_l.
+    """
+    b = units_grid_coefficients(p, c, d)
     det = 1  # p is prime, so the product is 0 exactly when some b_k is
     if order is not None:
         b = b.reshape(-1, order).sum(axis=0) % p
@@ -208,18 +217,19 @@ def check_column_relation(p: int, c: int, d: int) -> Outcome:
 
     With a = the matrix over 0..p-1 and w = 1 - 2*d*(c*c - 4*d)**((p-3)//2),
     every column j satisfies w*a[0][j] + sum(a[i][j] for i in 1..p-1) = 0
-    (mod p).  Needs p > 3 (the top row term rests on the vanishing of the
-    inverse-square harmonic sum) and p not dividing d.
+    (mod p), for p not dividing d.  Column 0 sums to the inverse-square harmonic
+    sum, which vanishes only for p > 3.  Column j != 0 is column 1 times j^-2, as
+    a[i][j] = j^-2 * a[i/j][1], and column 1 sums to w/d - b_(p-3): the sum of
+    (t^2 + c*t + d)^(p-2) over the units is -b_(p-3) (units_grid_coefficients).
+    So all p columns vanish or only column 0 does, and no matrix is built.
     """
     if p == 3:
         return _na("needs p > 3")
     if d % p == 0:
         return _na("needs p not dividing d")
-    matrix = quad_form_matrix(p, c, d, "full0", p - 2, ModCtx.prime(p))
     weight = (1 - 2 * d * pow(c * c - 4 * d, (p - 3) // 2, p)) % p
-    arr = matrix.entries
-    combos = (weight * arr[0] + arr[1:].sum(axis=0)) % p
-    vanishing = int((combos == 0).sum())
+    holds = weight * inv_mod(d, p) % p == int(units_grid_coefficients(p, c, d)[p - 3])
+    vanishing = 1 + (p - 1) * holds
     return _outcome(vanishing, f"{p} (columns whose weighted sum vanishes mod {p})",
                     vanishing == p)
 
@@ -443,7 +453,8 @@ CHECKS: dict[str, CheckSpec] = {
                             limit=MAX_UNITS_P, cmax=10, optional=("c",), ranges={
         "c": lambda b, cell: range(b.cmax + 1) if cell["variant"] == "c_minus1" else (None,)}),
     "background": CheckSpec(("p", "which"), _one(check_inverse_form_det), limit=MAX_UNITS_P),
-    "column-relation": CheckSpec(_PCD, _one(check_column_relation), cmax=6, dmax=6),
+    "column-relation": CheckSpec(_PCD, _one(check_column_relation), limit=MAX_UNITS_P,
+                                 cmax=6, dmax=6),
     "conj1": CheckSpec(("n", "c", "d"), _one(_conj1), cmax=3, dmax=6),
     "conj2": CheckSpec(("p",), _one(_conj2), limit=MAX_UNITS_P),
     "conj3": CheckSpec(("p",), _one(_conj3), limit=MAX_UNITS_P),

@@ -83,6 +83,16 @@ def units_grid_det_by_recurrence(p, c, d):
     return det
 
 
+def column_relation_by_matrix(p, c, d):
+    """Columns j of the full-grid matrix a over 0..p-1 with w*a[0][j] + sum(a[1:, j]) = 0 mod p.
+
+    The matrix is built and every column summed; w = 1 - 2*d*(c*c - 4*d)**((p-3)//2).
+    """
+    a = quad_form_matrix(p, c, d, "full0", p - 2, ModCtx.prime(p)).entries
+    weight = (1 - 2 * d * pow(c * c - 4 * d, (p - 3) // 2, p)) % p
+    return int(((weight * a[0] + a[1:].sum(axis=0)) % p == 0).sum())
+
+
 SMALL_PRIMES = (3, 5, 7, 11, 13)
 
 

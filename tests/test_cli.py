@@ -304,6 +304,7 @@ def test_a_matrix_free_check_takes_p_up_to_max_units_p():
     ["sweep", "reflection", "--pmax", "13", "--cmax", "5000", "--dmax", "5000"],
     ["sweep", "reflection", "--pmax", "100000"],  # 49 cells for each of 9591 odd primes
     ["sweep", "background", "--pmax", "1000000"],  # 2 cells for each of 78497 odd primes
+    ["sweep", "column-relation", "--pmax", "100000"],  # 49 cells for each of 9591 odd primes
 ])
 def test_grids_beyond_max_cells_are_refused_before_building(argv):
     # built in full, the first two grids would outgrow a 1 GiB address space

@@ -39,7 +39,7 @@ MODULI = {
 
 
 def reference(matrix):
-    return matrix.ctx.reduce(det_exact(lift(matrix)))
+    return det_exact(lift(matrix)) % matrix.ctx.modulus
 
 
 def build(rows, m):

@@ -26,7 +26,11 @@ from congruence_lab.verify import (
     units_grid_det,
 )
 
-from conftest import units_grid_det_by_elimination, units_grid_det_by_recurrence
+from conftest import (
+    column_relation_by_matrix,
+    units_grid_det_by_elimination,
+    units_grid_det_by_recurrence,
+)
 from oracle import matrix_permutation_sum
 
 
@@ -257,7 +261,8 @@ def test_units_grid_checks_build_no_matrix(monkeypatch):
              ("dp-theorem", {"p": 47, "variant": "two_two"}),
              ("dp-theorem", {"p": 47, "variant": "six_six"}),
              ("background", {"p": 47, "which": "full_range_ij"}),
-             ("background", {"p": 47, "which": "half_range_sq"})]
+             ("background", {"p": 47, "which": "half_range_sq"}),
+             ("column-relation", {"p": 47, "c": 2, "d": 3})]
 
     def records():
         return [{**r.as_record(), "elapsed_ms": None} for r in run_sweep(cells)]
@@ -269,11 +274,12 @@ def test_units_grid_checks_build_no_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a units-grid check built a matrix")
 
-    monkeypatch.setattr(verify, "quad_form_matrix", refuse)
-    monkeypatch.setattr(verify, "inverse_form_matrix", refuse)
-    monkeypatch.setattr(verify, "det_field", refuse)
+    for name in ("quad_form_matrix", "inverse_form_matrix", "cauchy_type_matrix",
+                 "det_field", "det_mod", "det_exact", "per_ryser"):
+        monkeypatch.setattr(verify, name, refuse)
     assert records() == by_elimination
     assert {r["verdict"] for r in by_elimination} == {PASS}
+    assert by_elimination[-1]["computed"] == str(column_relation_by_matrix(47, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +296,15 @@ def test_column_relation_passes():
 def test_column_relation_gates():
     assert one("column-relation", {"p": 5, "c": 1, "d": 5}).verdict == NOT_APPLICABLE
     assert one("column-relation", {"p": 3, "c": 1, "d": 1}).verdict == NOT_APPLICABLE
+
+
+def test_column_relation_counts_the_columns_the_matrix_route_counts():
+    # one coefficient of the units-grid kernel against the p x p matrix, built and summed
+    cells = [(p, c, d) for p in odd_primes_in(5, 199) for c in range(7) for d in range(7) if d % p]
+    assert len(cells) == 1841
+    mismatches = [cell for cell in cells if one("column-relation", dict(zip("pcd", cell))).computed
+                  != str(column_relation_by_matrix(*cell))]
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +670,8 @@ def test_sweep_cells_ignores_none_bounds():
 
 
 def test_each_id_states_its_limit_and_its_permanent_cap():
-    matrix_free = {"reflection", "dp-theorem", "background", "conj2", "conj3", "conj4"}
+    matrix_free = {"reflection", "dp-theorem", "background", "column-relation",
+                   "conj2", "conj3", "conj4"}
     assert {k: s.limit for k, s in CHECKS.items()} == {
         k: MAX_UNITS_P if k in matrix_free else MAX_ORDER for k in CHECKS}
     assert {k: s.cap for k, s in CHECKS.items() if s.cap is not None} == {
