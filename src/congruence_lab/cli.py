@@ -210,18 +210,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; nothing may change it after."""
-    parser = argparse.ArgumentParser(
-        prog="congruence-lab",
-        description="Exact determinant/permanent workbench for modular congruence checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="build a matrix and write it in the text format")
-    bsub = b.add_subparsers(dest="kind", required=True)
-
+def _add_build(cmd: argparse.ArgumentParser) -> None:
+    bsub = cmd.add_subparsers(dest="kind", required=True)
     bq = bsub.add_parser("quadform", help="powers of i^2 + c*i*j + d*j^2 over an index grid")
     bq.add_argument("--p", type=int, required=True, help="grid bound (order p, or p-1 with --range from1)")
     bq.add_argument("--c", type=int, required=True)
@@ -231,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     bq.add_argument("--mod", type=int, default=None, help="modulus (default: p)")
     bq.add_argument("--exact", action="store_true", help="exact integer entries")
     bq.set_defaults(build=_build_quadform)
-
     bc = bsub.add_parser("cauchy", help="difference/ratio matrices over indices 1..size")
     bc.add_argument("--kind", dest="cauchy_kind", choices=sorted(CAUCHY_BY_NAME), required=True)
     bc.add_argument("--p", type=int, required=True)
@@ -240,71 +229,90 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--diag", choices=("zero", "one"), required=True)
     bc.add_argument("--mod", type=int, required=True)
     bc.set_defaults(build=_build_cauchy)
-
     bi = bsub.add_parser("invform", help="inverse quadratic-form matrices mod p")
     bi.add_argument("--p", type=int, required=True)
     bi.add_argument("--which", choices=verify.INVERSE_FORM_WHICH, required=True)
     bi.set_defaults(build=lambda a: matgen.inverse_form_matrix(a.p, a.which))
-
     bp = bsub.add_parser("primeind", help="0/1 matrix with 1 where i+j is prime")
     bp.add_argument("--n", type=int, required=True)
     bp.set_defaults(build=lambda a: matgen.prime_indicator_matrix(a.n))
-
     bcb = bsub.add_parser("checkerboard", help="random checkerboard-supported integer matrix")
     bcb.add_argument("--n", type=int, required=True)
     bcb.add_argument("--seed", type=int, required=True)
     bcb.add_argument("--symmetric", action="store_true")
     bcb.set_defaults(build=lambda a: matgen.random_checkerboard_matrix(a.n, a.seed, a.symmetric))
-
     bsk = bsub.add_parser("skewcheckerboard", help="random skew checkerboard matrix of order 2m")
     bsk.add_argument("--m", type=int, required=True)
     bsk.add_argument("--seed", type=int, required=True)
     bsk.set_defaults(build=lambda a: matgen.random_skew_checkerboard_matrix(a.m, a.seed))
-
     bpe = bsub.add_parser("polyeval", help="[P(i, j)] for a low-degree integer polynomial")
     bpe.add_argument("--n", type=int, required=True)
     bpe.add_argument("--coeffs", required=True,
                      help="JSON list of lists: coeffs[k][l] multiplies x^k * j^l")
     bpe.set_defaults(build=_build_polyeval)
-
     for builder in bsub.choices.values():
         builder.add_argument("--out", default=None)
+    cmd.set_defaults(handler=cmd_build)
 
-    d = sub.add_parser("det", help="determinant of a matrix file ('-' for stdin)")
-    d.set_defaults(engines=DET_ENGINES, fallback=_det_fallback)
-    q = sub.add_parser("per", help="permanent of a matrix file ('-' for stdin)")
-    q.set_defaults(engines=PER_ENGINES, fallback=lambda matrix: "ryser")
-    for cmd in (d, q):
-        cmd.add_argument("matrix")
-        cmd.add_argument("--mod", type=int, default=None, help="reduce an exact matrix mod this")
-        cmd.add_argument("--engine", choices=("auto", *cmd.get_default("engines")), default="auto")
-        cmd.set_defaults(handler=cmd_engine)
 
-    c = sub.add_parser("check", help="run a single check")
-    s = sub.add_parser("sweep", help="run a check over a parameter range")
-    for cmd, flags in ((c, CELL_FLAGS), (s, SWEEP_FLAGS)):
-        for name in (n for n in flags if n not in verify.CHOICES):  # CHOICES follow --id
-            cmd.add_argument(f"--{name}", type=int, default=None)
-    s.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (changes wall time only, never output)")
+def _add_engine(cmd: argparse.ArgumentParser, engines: dict, fallback: Callable[[Matrix], str]) -> None:
+    cmd.add_argument("matrix")
+    cmd.add_argument("--mod", type=int, default=None, help="reduce an exact matrix mod this")
+    cmd.add_argument("--engine", choices=("auto", *engines), default="auto")
+    cmd.set_defaults(handler=cmd_engine, engines=engines, fallback=fallback)
 
-    for cmd, handler in ((c, cmd_check), (s, cmd_sweep)):
-        cmd.add_argument("check", choices=CHECK_NAMES)
-        cmd.add_argument("--id", type=int, default=None, help="conjecture number for 'conj'")
-        for name, values in verify.CHOICES.items():
-            cmd.add_argument(f"--{name}", choices=values, default=None)
-        cmd.add_argument("--per-order-cap", type=int, default=None,
-                         help="override the permanent size gate")
-        cmd.add_argument("--format", choices=("jsonl", "csv", "tty"), default="tty",
-                         help="report format (default: tty)")
-        cmd.set_defaults(handler=handler)
 
-    b.set_defaults(handler=cmd_build)
+def _add_cells(cmd: argparse.ArgumentParser, flags: tuple[str, ...], handler: Callable) -> None:
+    for name in (n for n in flags if n not in verify.CHOICES):  # CHOICES follow --id
+        cmd.add_argument(f"--{name}", type=int, default=None)
+    if handler is cmd_sweep:
+        cmd.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers (changes wall time only, never output)")
+    cmd.add_argument("check", choices=CHECK_NAMES)
+    cmd.add_argument("--id", type=int, default=None, help="conjecture number for 'conj'")
+    for name, values in verify.CHOICES.items():
+        cmd.add_argument(f"--{name}", choices=values, default=None)
+    cmd.add_argument("--per-order-cap", type=int, default=None,
+                     help="override the permanent size gate")
+    cmd.add_argument("--format", choices=("jsonl", "csv", "tty"), default="tty",
+                     help="report format (default: tty)")
+    cmd.set_defaults(handler=handler)
+
+
+#: subcommands in the order --help lists them: their help and what adds their arguments
+COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "build": ("build a matrix and write it in the text format", _add_build),
+    "det": ("determinant of a matrix file ('-' for stdin)",
+            lambda cmd: _add_engine(cmd, DET_ENGINES, _det_fallback)),
+    "per": ("permanent of a matrix file ('-' for stdin)",
+            lambda cmd: _add_engine(cmd, PER_ENGINES, lambda matrix: "ryser")),
+    "check": ("run a single check", lambda cmd: _add_cells(cmd, CELL_FLAGS, cmd_check)),
+    "sweep": ("run a check over a parameter range", lambda cmd: _add_cells(cmd, SWEEP_FLAGS, cmd_sweep)),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, built once per process and command; nothing may change it after.
+
+    A named command leaves the other four out, but its help, usage and errors read as
+    the full parser's; top-level --help and a bad or missing command need None.
+    """
+    parser = argparse.ArgumentParser(
+        prog="congruence-lab",
+        description="Exact determinant/permanent workbench for modular congruence checks.",
+    )
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.handler(args)
     except BrokenPipeError:  # pragma: no cover

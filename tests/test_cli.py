@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, engines, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -775,3 +776,58 @@ def test_unknown_engine_exits_two(remark_file):
     with pytest.raises(SystemExit) as e:
         cli.main(["det", remark_file, "--engine", "cofactor"])
     assert e.value.code == 2
+
+
+def _subparser(parser, *names):
+    for name in names:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+COMMAND_NAMES = ["build", "det", "per", "check", "sweep"]
+
+
+def test_commands_are_listed_in_help_order():
+    assert list(cli.COMMANDS) == COMMAND_NAMES
+
+
+@pytest.mark.parametrize("names", [(name,) for name in COMMAND_NAMES] + [("build", "quadform")],
+                         ids=" ".join)
+def test_a_named_command_parses_as_the_full_parser(names):
+    named = _subparser(cli.build_parser(names[0]), *names)
+    full = _subparser(cli.build_parser(), *names)
+    assert named.format_help() == full.format_help()
+    assert named.format_usage() == full.format_usage()
+
+
+def test_a_named_command_registers_no_other():
+    sub = next(a for a in cli.build_parser("sweep")._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["sweep"]
+
+
+def test_unrecognized_argument_usage_names_every_command(capsys, monkeypatch):
+    # main builds only the sweep parser here; the usage line still lists all five
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as e:
+        cli.main(["sweep", "conj", "--id", "2", "--pmax", "7", "--bogus"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: congruence-lab [-h] {build,det,per,check,sweep} ...\n"
+        "congruence-lab: error: unrecognized arguments: --bogus\n"
+    )
+
+
+def test_main_imports_no_module():
+    # an import deferred into main would be paid inside every timed CLI call
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from congruence_lab import cli",
+        "before = set(sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    cli.main(['sweep', 'conj', '--id', '3', '--pmax', '13', '--format', 'jsonl'])",
+        "    cli.main(['check', 'p3', '--c', '1', '--d', '2'])",
+        "print(sorted(set(sys.modules) - before))",
+    ])
+    assert _fresh_interpreter(code) == "[]\n"
