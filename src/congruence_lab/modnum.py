@@ -9,7 +9,10 @@ early keeps inverse-of-2 tricks valid everywhere.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -76,22 +79,22 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, int(n**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(itertools.compress(range(n + 1), sieve))
 
 
-def odd_primes_in(lo: int, hi: int) -> list[int]:
-    """Odd primes p with lo <= p <= hi (2 is excluded: even moduli are out of scope).
+def odd_primes_in(lo: int, hi: int) -> Iterator[int]:
+    """Odd primes p with lo <= p <= hi, in order (2 is excluded: even moduli are out of scope).
 
-    Sieves only the window [lo, hi], by the primes up to isqrt(hi).
+    Sieved lazily, 2^16 numbers at a time, each segment by the primes up to its square root.
     """
-    lo = max(lo, 3)
-    if hi < lo:
-        return []
-    window = bytearray([1]) * (hi - lo + 1)
-    for q in primes_up_to(math.isqrt(hi)):
-        first = max(q * q, -(-lo // q) * q)
-        window[first - lo :: q] = bytearray(len(range(first, hi + 1, q)))
-    return [lo + i for i, keep in enumerate(window) if keep]
+    base, segment = primes_up_to(math.isqrt(max(hi, 0))), 1 << 16
+    for start in range(max(lo, 3), hi + 1, segment):
+        end = min(start + segment, hi + 1)
+        window = bytearray([1]) * (end - start)
+        for q in base[:bisect.bisect(base, math.isqrt(end - 1))]:
+            first = max(q * q, -(-start // q) * q)
+            window[first - start :: q] = bytearray(len(range(first, end, q)))
+        yield from itertools.compress(range(start, end), window)
 
 
 @dataclass(frozen=True)

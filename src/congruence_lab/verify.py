@@ -52,9 +52,11 @@ PER_ORDER_CAPS = {5: 12, 6: 12, 7: 17, 8: 17, 9: 17}
 #: the most cells one sweep may hold; a larger grid is refused before it runs
 MAX_CELLS = 10**5
 
-#: the largest p of a matrix-free check; units_grid_det takes O(p) memory and O(log p) vector steps
+#: the largest p of a units-grid det on the kernel: O(p) memory and O(log p) vector steps
 MAX_UNITS_P = 10**6
-#: terms of 1/f^2 that units_grid_det computes one by one before its vector steps
+#: the largest p of a closed-form units-grid det, which factors p + 1 by trial division
+MAX_CLOSED_P = 10**12
+#: terms of 1/f^2 that units_grid_coefficients computes one by one before its vector steps
 _SEED_TERMS = 64
 
 VANISHING_VARIANTS = ("c_minus1", "two_two", "six_six")
@@ -77,7 +79,9 @@ class CheckReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _require_odd_prime(p: int) -> None:
+def _require_odd_prime(p: int, limit: int | None = None) -> None:
+    if limit is not None and p > limit:
+        raise ValueError(f"units_grid_det takes p up to {limit}, got {p}")
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
 
@@ -99,9 +103,7 @@ def units_grid_coefficients(p: int, c: int, d: int) -> np.ndarray:
     thus doubles the known terms: O(p) memory and O(log p) vector steps.
     Every int64 intermediate is below 4p^2 < 2^63.
     """
-    if p > MAX_UNITS_P:
-        raise ValueError(f"units_grid_det takes p up to {MAX_UNITS_P}, got {p}")
-    _require_odd_prime(p)
+    _require_odd_prime(p, MAX_UNITS_P)
     c, d = c % p, d % p
     # f^2 = 1 + 2c*t + (c^2 + 2d)*t^2 + 2cd*t^3 + d^2*t^4, so h_n = r1*h_(n-1) + ... + r4*h_(n-4)
     r1, r2, r3, r4 = -2 * c % p, -(c * c + 2 * d) % p, -2 * c * d % p, -d * d % p
@@ -126,13 +128,58 @@ def units_grid_coefficients(p: int, c: int, d: int) -> np.ndarray:
     return (hs[3:p + 2] + hs[p + 2:2 * p + 1] + c * hs[2:p + 1]) % p
 
 
+def _fp2_pow(x: tuple[int, int], e: int, p: int, delta: int) -> tuple[int, int]:
+    """x^e in F_(p^2) = F_p(s), s^2 = delta a non-square mod p, for x = (u, v) = u + v*s."""
+    y = (1, 0)
+    for bit in bin(e)[2:]:  # square and multiply, from the top bit down
+        y = (y[0] * y[0] + delta * y[1] * y[1]) % p, 2 * y[0] * y[1] % p
+        if bit == "1":
+            y = (y[0] * x[0] + delta * y[1] * x[1]) % p, (y[0] * x[1] + y[1] * x[0]) % p
+    return y
+
+
+def _inert_det(p: int, c: int, d: int, delta: int) -> int:
+    """D_p(c, d) for f irreducible mod p and (d/p) = 1, as in units_grid_det."""
+    h = pow(2 * d, -1, p)
+    zeta = (c * c * h - 1) % p, c * h % p  # b/a = (c + s)^2/(4d), at a, b = (-c +- s)/(2d)
+    r = m = (p + 1) // ((p + 1) & -(p + 1))  # the odd part of p + 1
+    if _fp2_pow(zeta, r, p, delta) != (1, 0):
+        return 0  # r = ord zeta is even
+    q = 3
+    while m > 1:  # trial division: strip each prime q of m from r while zeta^(r/q) = 1
+        q = q if q * q <= m else m
+        while m % q == 0:
+            m //= q
+            if _fp2_pow(zeta, r // q, p, delta) == (1, 0):
+                r //= q
+        q += 2
+    u, v = _fp2_pow((-c * h % p, h), (p - 1) // 2, p, delta)  # a^(p(p-1)/2) is u - v*s
+    x, y = zeta[0] + 1, zeta[1]  # 1 + 1/zeta = x - y*s, of norm 2x as zeta has norm 1
+    if (u * y - v * x) % p:  # (u - v*s)(x + y*s) must lie in F_p
+        raise ArithmeticError(f"the closed form of D_{p}({c}, {d}) is not in F_{p}")
+    return (u * x - v * y * delta) * pow(2, (p + 1) // r - 1, p) * pow(2 * x, -1, p) % p
+
+
 def units_grid_det(p: int, c: int, d: int, order: int | None = None) -> int:
     """D_p(c, d) mod p: the product of units_grid_coefficients(p, c, d).
 
-    With order = n dividing p-1 it is det[g(y/x)] over x, y in the order-n subgroup of
-    the units instead: there t^n = 1, so the b_k fold once more over k mod n, and
-    [x^-l][y^l] = n*I makes it n^n * prod b_l.
+    For p > 3 and no order, f = 1 + c*t + d*t^2 mod p decides, with delta = c^2 - 4d
+    (partial fractions of 1/f, power sums over F_p, Frobenius on F_(p^2); Lidl and
+    Niederreiter, "Finite Fields", 1997): D = -(-c/p) if d = 0; 0 if delta = 0 or (d/p) = -1;
+    0 if delta is a non-square and r = ord(b/a) is even, for the roots a, b = a^p of f, else
+    a^(p(p-1)/2) * 2^((p+1)/r - 1)/(1 + a/b).  The kernel takes a split f with (d/p) = 1, p = 3,
+    and order = n | p-1: det[g(y/x)] over that subgroup is n^n * prod of b_k folded mod n.
     """
+    _require_odd_prime(p, MAX_CLOSED_P)
+    if order is None and p > 3:
+        c, d = c % p, d % p
+        half, delta = (p - 1) // 2, (c * c - 4 * d) % p
+        if d == 0:
+            return -pow(-c, half, p) % p
+        if delta == 0 or pow(d, half, p) == p - 1:
+            return 0
+        if pow(delta, half, p) == p - 1:
+            return _inert_det(p, c, d, delta)
     b = units_grid_coefficients(p, c, d)
     det = 1  # p is prime, so the product is 0 exactly when some b_k is
     if order is not None:
@@ -410,11 +457,11 @@ class CheckSpec:
     SWEEP_RANGES in this order.  ranges overrides SWEEP_RANGES for this id;
     the sweep's bounds.cmax and bounds.dmax default to cmax and dmax here.
     limit is the largest p or n a cell takes (MAX_UNITS_P where no matrix is
-    built), and cap is the default size gate of the permanent parts (None
-    where there are none).  run(params, cap) evaluates one cell and yields
-    (part, Outcome) pairs, part None for a one-part cell.  Runners call the
-    checkers, which look the builders and engines up in this module when they
-    run.
+    built, MAX_CLOSED_P where every units-grid det has a closed form), and cap
+    is the default size gate of the permanent parts (None where there are
+    none).  run(params, cap) evaluates one cell and yields (part, Outcome)
+    pairs, part None for a one-part cell.  Runners call the checkers, which
+    look the builders and engines up in this module when they run.
     """
 
     params: tuple[str, ...]
@@ -456,9 +503,9 @@ CHECKS: dict[str, CheckSpec] = {
     "column-relation": CheckSpec(_PCD, _one(check_column_relation), limit=MAX_UNITS_P,
                                  cmax=6, dmax=6),
     "conj1": CheckSpec(("n", "c", "d"), _one(_conj1), cmax=3, dmax=6),
-    "conj2": CheckSpec(("p",), _one(_conj2), limit=MAX_UNITS_P),
+    "conj2": CheckSpec(("p",), _one(_conj2), limit=MAX_CLOSED_P),
     "conj3": CheckSpec(("p",), _one(_conj3), limit=MAX_UNITS_P),
-    "conj4": CheckSpec(("p",), _one(_conj4), limit=MAX_UNITS_P),
+    "conj4": CheckSpec(("p",), _one(_conj4), limit=MAX_CLOSED_P),
     "conj5": CheckSpec(("p",), _gated(_conj5), cap=PER_ORDER_CAPS[5]),
     "conj6": CheckSpec(("p",), _gated(_conj6), cap=PER_ORDER_CAPS[6]),
     "conj7": CheckSpec(("p",), _gated(_conj7), cap=PER_ORDER_CAPS[7]),

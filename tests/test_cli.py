@@ -300,6 +300,26 @@ def test_a_matrix_free_check_takes_p_up_to_max_units_p():
     assert (record["computed"], record["verdict"]) == ("0", "pass")  # 999983 = 7 (mod 8)
 
 
+def test_conj2_and_conj4_take_p_up_to_max_closed_p():
+    # 999999999937 = 1 (mod 4) and 2 (mod 5): an inert f with (d/p) = 1, so no O(p) step
+    for check_id in ("2", "4"):
+        proc = run_under_1_gib(["check", "conj", "--id", check_id, "--p", "999999999937",
+                                "--format", "jsonl"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        record = json.loads(proc.stdout)
+        assert (record["params"], record["verdict"]) == ({"p": 999999999937}, "pass")
+
+
+def test_a_sweep_to_max_closed_p_stops_sieving_at_max_cells():
+    # the window 3..10**12 is never sieved whole: the walk stops after MAX_CELLS + 1 primes
+    t0 = time.perf_counter()
+    proc = run_under_1_gib(["sweep", "conj", "--id", "2", "--pmax", str(verify.MAX_CLOSED_P)])
+    assert time.perf_counter() - t0 < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: conj2 sweep has more than {verify.MAX_CELLS} cells; "
+                           "narrow its bounds\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "p3", "--cmax", "20000", "--dmax", "20000"],
     ["sweep", "reflection", "--pmax", "13", "--cmax", "5000", "--dmax", "5000"],
@@ -739,7 +759,8 @@ def test_sweep_rejects_nonpositive_jobs(capsys):
     ("check conj --id 3 --p 1000003", "conj3 takes --p up to 1000000, got 1000003"),
     ("check reflection --p 1000003 --c 1 --d 2",
      "reflection takes --p up to 1000000, got 1000003"),
-    ("sweep conj --id 2 --pmax 1000003", "conj2 sweep takes --pmax up to 1000000, got 1000003"),
+    ("sweep conj --id 2 --pmax 1000000000001",
+     "conj2 sweep takes --pmax up to 1000000000000, got 1000000000001"),
     ("sweep dp-theorem --pmin 1000003 --pmax 1000033",
      "dp-theorem sweep takes --pmax up to 1000000, got 1000033"),
 ])

@@ -145,20 +145,35 @@ def test_primes_up_to():
 
 
 def test_odd_primes_in_excludes_two():
-    assert odd_primes_in(2, 12) == [3, 5, 7, 11]
-    assert odd_primes_in(14, 16) == []
+    assert list(odd_primes_in(2, 12)) == [3, 5, 7, 11]
+    assert list(odd_primes_in(14, 16)) == []
 
 
 @given(st.integers(-10, 10**5), st.integers(0, 3000))
 @settings(max_examples=200, deadline=None)
 def test_odd_primes_in_window_matches_full_sieve(lo, width):
     hi = min(lo + width, 10**5)
-    assert odd_primes_in(lo, hi) == [p for p in primes_up_to(hi) if p >= max(lo, 3)]
+    assert list(odd_primes_in(lo, hi)) == [p for p in primes_up_to(hi) if p >= max(lo, 3)]
+
+
+def test_odd_primes_in_is_one_sieve_across_its_segments():
+    # a window wider than 2^16 numbers is sieved in segments joined at lo + k * 2^16
+    for lo in (-5, 3, 2**16, 10**6 - 1):
+        hi = lo + 3 * 2**16 + 1
+        assert list(odd_primes_in(lo, hi)) == [p for p in primes_up_to(hi) if p >= max(lo, 3)]
+
+
+def test_odd_primes_in_sieves_a_segment_only_when_it_is_reached():
+    # [3, 10**12] in one piece would be a terabyte; the first primes cost one segment
+    t0 = time.perf_counter()
+    primes = odd_primes_in(3, 10**12)
+    assert [next(primes) for _ in range(6)] == [3, 5, 7, 11, 13, 17]
+    assert time.perf_counter() - t0 < 1
 
 
 def test_odd_primes_in_sieves_only_the_window():
     t0 = time.perf_counter()
-    primes = odd_primes_in(10**7 - 100, 10**7)
+    primes = list(odd_primes_in(10**7 - 100, 10**7))
     elapsed = time.perf_counter() - t0
     assert primes == [p for p in range(10**7 - 100, 10**7 + 1) if is_prime(p)]
     assert len(primes) == 9

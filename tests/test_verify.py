@@ -5,14 +5,17 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congruence_lab import verify
 from congruence_lab.detper import det_field
 from congruence_lab.matgen import MAX_ORDER, inverse_form_matrix
-from congruence_lab.modnum import odd_primes_in
+from congruence_lab.modnum import inv_mod, legendre, odd_primes_in
 from congruence_lab.verify import (
     FAIL,
     INCONCLUSIVE,
+    MAX_CLOSED_P,
     MAX_UNITS_P,
     NOT_APPLICABLE,
     PASS,
@@ -23,6 +26,7 @@ from congruence_lab.verify import (
     run_check,
     run_sweep,
     sweep_cells,
+    units_grid_coefficients,
     units_grid_det,
 )
 
@@ -192,7 +196,7 @@ def _large_recurrence_cases():
                     (p, -2 * u, u * u + 5 * p))
     rng = random.Random(24)
     for lo, hi, k in ((10**3, 10**4, 2), (10**4, 10**5, 3)):
-        primes = odd_primes_in(lo, hi)
+        primes = list(odd_primes_in(lo, hi))
         for _ in range(k):
             p = rng.choice(primes)
             yield p, rng.randrange(p), rng.randrange(p)
@@ -211,14 +215,106 @@ def test_units_grid_det_matches_the_recurrence_up_to_max_units_p():
 def test_units_grid_det_refuses_a_non_prime_p_and_a_large_order():
     with pytest.raises(ValueError, match="odd prime"):
         units_grid_det(9, 1, 1)
-    with pytest.raises(ValueError, match=f"p up to {MAX_UNITS_P}, got 1000003"):
-        units_grid_det(1000003, 2, -1)
+    # at 1000033 = 1 (mod 8), conj3's f = 1 + 2t - t^2 splits and (-1/p) = 1: only the kernel has it
+    with pytest.raises(ValueError, match=f"p up to {MAX_UNITS_P}, got 1000033$"):
+        units_grid_det(1000033, 2, -1)
+    with pytest.raises(ValueError, match=f"p up to {MAX_CLOSED_P}, got {MAX_CLOSED_P + 1}$"):
+        units_grid_det(MAX_CLOSED_P + 1, 1, -1)
 
 
 def test_units_grid_det_takes_p_up_to_max_units_p():
     # no matrix and no MAX_ORDER: the largest prime below the bound still runs in O(p) memory
     assert MAX_UNITS_P == 10**6
     assert units_grid_det(999983, 2, -1) == 0  # conj3 at p = 7 (mod 8): not a -1 symbol
+    # 999961 = 1 (mod 8): there f = 1 + 2t - t^2 splits and (-1/p) = 1, so this cell runs the kernel
+    assert units_grid_det(999961, 2, -1) == coefficient_product(999961, 2, -1) == 884215
+
+
+def coefficient_product(p, c, d):
+    """prod b_k mod p, one b_k of units_grid_coefficients at a time."""
+    det = 1
+    for b in units_grid_coefficients(p, c, d).tolist():
+        det = det * b % p
+    return det
+
+
+def takes_a_closed_form(p, c, d):
+    """Whether units_grid_det takes (p, c, d) in closed form: p > 3, no split f with (d/p) = 1."""
+    delta = (c * c - 4 * d) % p
+    return p > 3 and not (d % p and delta and legendre(d, p) == legendre(delta, p) == 1)
+
+
+def test_the_closed_forms_equal_the_kernel_on_every_cell_they_take_to_p_61():
+    cases = [(p, c, d) for p in odd_primes_in(5, 61) for c in range(p) for d in range(p)
+             if takes_a_closed_form(p, c, d)]
+    mismatches = [case for case in cases if units_grid_det(*case) != coefficient_product(*case)]
+    assert len(cases) == 15832
+    assert mismatches == []
+
+
+def _large_closed_form_cases():
+    for p in (999961, 999979, 999983):  # p = 1, 3, 7 (mod 8)
+        yield from ((p, 0, 0), (p, p // 3, 0), (p, 2 * (p // 3), (p // 3) ** 2), (p, 1, -1),
+                    (p, 3, 1), (p, -1, 1), (p, 2, -1))
+    rng = random.Random(31)
+    primes = list(odd_primes_in(9 * 10**5, MAX_UNITS_P))
+    for p in rng.sample(primes, 60):
+        c, d = rng.randrange(p), rng.randrange(p)
+        if takes_a_closed_form(p, c, d) and legendre(d, p) == 1:  # inert: no (d/p) = -1 zero
+            yield p, c, d
+
+
+def test_the_closed_forms_equal_the_kernel_on_seeded_cells_up_to_max_units_p():
+    cases = [case for case in _large_closed_form_cases() if takes_a_closed_form(*case)]
+    got = [units_grid_det(*case) for case in cases]
+    assert got == [coefficient_product(*case) for case in cases]
+    assert len(cases) == 29
+    assert sum(v != 0 for v in got) == 14
+
+
+def test_cells_with_a_closed_form_never_run_the_kernel(monkeypatch):
+    cases = [(p, c, d) for p in (5, 29, 999983) for c in range(8) for d in range(-8, 8)
+             if takes_a_closed_form(p, c, d)]
+    expected = [units_grid_det(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("a closed-form cell ran the kernel")
+
+    monkeypatch.setattr(verify, "units_grid_coefficients", refuse)
+    assert [units_grid_det(*case) for case in cases] == expected
+    with pytest.raises(AssertionError, match="ran the kernel"):
+        units_grid_det(999961, 2, -1)
+
+
+def test_p3_stays_on_the_kernel():
+    # f = 1 + t + t^2 = (1 - t)^2 at p = 3, yet D_3(1, 1) = 2, not the 0 of the repeated-root case
+    assert not takes_a_closed_form(3, 1, 1)
+    assert units_grid_det(3, 1, 1) == coefficient_product(3, 1, 1) == 2
+    assert units_grid_det_by_elimination(3, 1, 1) == 2
+
+
+_PRIMES_TO_400 = list(odd_primes_in(5, 400))
+
+
+@given(st.sampled_from(_PRIMES_TO_400), st.integers(-10**6, 10**6), st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_a_non_residue_d_makes_the_kernel_vanish(p, c, d):
+    # (d/p) = -1 forces b_k = 0 at k = (p-3)/2, where m = -k = (p+1)/2 (mod p-1), split or inert
+    d = next(x for x in range(d, d + p) if legendre(x, p) == -1)
+    b = units_grid_coefficients(p, c, d)
+    assert b[(p - 3) // 2] == 0
+    assert coefficient_product(p, c, d) == 0
+
+
+@given(st.sampled_from(_PRIMES_TO_400), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_has_b_p_minus_3_in_closed_form(p, c, d):
+    # b_(p-3), the column-relation coefficient, is (c^2 - 6d)/(d*delta) when f splits and
+    # (c^2 - 2d)/(d*delta) when f is inert
+    delta = (c * c - 4 * d) % p
+    assume(d % p and delta)
+    k = 6 if legendre(delta, p) == 1 else 2
+    assert units_grid_coefficients(p, c, d)[p - 3] == (c * c - k * d) * inv_mod(d * delta, p) % p
 
 
 def test_units_grid_det_over_every_subgroup_matches_elimination():
@@ -672,8 +768,10 @@ def test_sweep_cells_ignores_none_bounds():
 def test_each_id_states_its_limit_and_its_permanent_cap():
     matrix_free = {"reflection", "dp-theorem", "background", "column-relation",
                    "conj2", "conj3", "conj4"}
+    closed_form = {"conj2", "conj4"}  # every applicable cell has an inert f with (d/p) = 1
     assert {k: s.limit for k, s in CHECKS.items()} == {
-        k: MAX_UNITS_P if k in matrix_free else MAX_ORDER for k in CHECKS}
+        k: MAX_CLOSED_P if k in closed_form else MAX_UNITS_P if k in matrix_free else MAX_ORDER
+        for k in CHECKS}
     assert {k: s.cap for k, s in CHECKS.items() if s.cap is not None} == {
         f"conj{k}": cap for k, cap in PER_ORDER_CAPS.items()}
 
