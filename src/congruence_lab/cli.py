@@ -3,7 +3,7 @@
 Exit codes: 0 = no failing checks, 1 = at least one fail verdict,
 2 = usage or input error.  Handlers only forward flags and print results;
 main is the one place an error becomes exit 2, and verify.run_check and
-verify.sweep_cells decide which inputs a cell and a grid take.
+verify.run_sweep decide which inputs a cell and a sweep take.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 from typing import IO, Callable, Iterable
 
-# before numpy loads: nothing in this package calls BLAS; ROADMAP item 11's blocked LU must revisit it
+# before numpy loads: nothing in this package calls BLAS; ROADMAP item 13's blocked LU must revisit it
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import detper, matgen, verify
 from .matgen import EntryKind, Matrix
@@ -33,7 +33,7 @@ CHECK_NAMES = tuple(dict.fromkeys(
 
 #: `check` flags forwarded to verify.run_check when given: every cell param
 CELL_FLAGS = tuple(verify.SWEEP_BOUNDS)
-#: `sweep` flags forwarded to verify.sweep_cells when given: every sweep bound
+#: `sweep` flags forwarded to verify.run_sweep when given: every sweep bound
 SWEEP_FLAGS = tuple(b for bounds in verify.SWEEP_BOUNDS.values() for b in bounds)
 
 
@@ -199,9 +199,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cells = verify.sweep_cells(_check_id(args), per_order_cap=args.per_order_cap,
+    reports = verify.run_sweep(_check_id(args), jobs=args.jobs, per_order_cap=args.per_order_cap,
                                **_given(args, SWEEP_FLAGS))
-    reports = verify.run_sweep(cells, jobs=args.jobs, per_order_cap=args.per_order_cap)
     emit_reports(reports, args.format, sys.stdout)
     return verify.exit_code(reports)
 

@@ -79,9 +79,7 @@ class CheckReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _require_odd_prime(p: int, limit: int | None = None) -> None:
-    if limit is not None and p > limit:
-        raise ValueError(f"units_grid_det takes p up to {limit}, got {p}")
+def _require_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
 
@@ -103,7 +101,9 @@ def units_grid_coefficients(p: int, c: int, d: int) -> np.ndarray:
     thus doubles the known terms: O(p) memory and O(log p) vector steps.
     Every int64 intermediate is below 4p^2 < 2^63.
     """
-    _require_odd_prime(p, MAX_UNITS_P)
+    if p > MAX_UNITS_P:
+        raise ValueError(f"units_grid_coefficients takes p up to {MAX_UNITS_P}, got {p}")
+    _require_odd_prime(p)
     c, d = c % p, d % p
     # f^2 = 1 + 2c*t + (c^2 + 2d)*t^2 + 2cd*t^3 + d^2*t^4, so h_n = r1*h_(n-1) + ... + r4*h_(n-4)
     r1, r2, r3, r4 = -2 * c % p, -(c * c + 2 * d) % p, -2 * c * d % p, -d * d % p
@@ -170,7 +170,9 @@ def units_grid_det(p: int, c: int, d: int, order: int | None = None) -> int:
     a^(p(p-1)/2) * 2^((p+1)/r - 1)/(1 + a/b).  The kernel takes a split f with (d/p) = 1, p = 3,
     and order = n | p-1: det[g(y/x)] over that subgroup is n^n * prod of b_k folded mod n.
     """
-    _require_odd_prime(p, MAX_CLOSED_P)
+    if p > MAX_CLOSED_P:
+        raise ValueError(f"units_grid_det takes p up to {MAX_CLOSED_P}, got {p}")
+    _require_odd_prime(p)
     if order is None and p > 3:
         c, d = c % p, d % p
         half, delta = (p - 1) // 2, (c * c - 4 * d) % p
@@ -603,15 +605,15 @@ def run_check(check_id: str, params: dict, per_order_cap: int | None = None) -> 
 
 
 def sweep_cells(check_id: str, *, per_order_cap: int | None = None,
-                **bounds: int | str | None) -> list[tuple[str, dict]]:
+                **bounds: int | str | None) -> list[dict]:
     """Deterministic parameter grid for a sweep over one check id: its ranges, walked.
 
-    The bounds are checked here, before the grid, even an empty one (bounds
-    that hold no prime).  pmin, nmin, cmax and dmax default to 3, 5 and the
-    id's.  Besides what _admit refuses, a missing pmax or nmax, one above the
-    id's limit or below its lower bound, nmin < 1, a negative cmax or dmax,
-    and a grid of more than MAX_CELLS cells raise ValueError; the grid is
-    never built in full.
+    Each cell is the params dict that run_check takes.  The bounds are checked
+    here, before the grid, even an empty one (bounds that hold no prime).
+    pmin, nmin, cmax and dmax default to 3, 5 and the id's.  Besides what
+    _admit refuses, a missing pmax or nmax, one above the id's limit or below
+    its lower bound, nmin < 1, a negative cmax or dmax, and a grid of more
+    than MAX_CELLS cells raise ValueError; the grid is never built in full.
     """
     spec = _admit(check_id, bounds, per_order_cap, sweep=True)
     defaults = {"pmin": 3, "nmin": 5, "cmax": spec.cmax, "dmax": spec.dmax}
@@ -628,31 +630,25 @@ def sweep_cells(check_id: str, *, per_order_cap: int | None = None,
         if b.get(name, least) < least:
             raise ValueError(f"{name} must be >= {least}, got {b[name]}")
     ranges = [(k, spec.ranges.get(k, SWEEP_RANGES[k])) for k in spec.params]
-    grid = itertools.islice(_walk(ranges, SimpleNamespace(**b), {}), MAX_CELLS + 1)
-    cells = [(check_id, params) for params in grid]
+    cells = list(itertools.islice(_walk(ranges, SimpleNamespace(**b), {}), MAX_CELLS + 1))
     if len(cells) > MAX_CELLS:
         raise ValueError(f"{check_id} sweep has more than {MAX_CELLS} cells; narrow its bounds")
     return cells
 
 
-def _run_cell(cell: tuple[str, dict], per_order_cap: int | None = None) -> list[CheckReport]:
-    check_id, params = cell
-    return run_check(check_id, params, per_order_cap=per_order_cap)
+def run_sweep(check_id: str, *, jobs: int = 1, per_order_cap: int | None = None,
+              **bounds: int | str | None) -> list[CheckReport]:
+    """run_check over the sweep_cells grid of check_id and bounds, in grid order.
 
-
-def run_sweep(
-    cells: Iterable[tuple[str, dict]],
-    jobs: int = 1,
-    per_order_cap: int | None = None,
-) -> list[CheckReport]:
-    """Evaluate cells in order; parallelism never changes the report sequence.
-
-    jobs is an upper bound: no more workers start than there are CPUs or cells.
+    The grid's refusals come first, then a jobs below 1.  jobs is an upper
+    bound: no more workers start than there are CPUs or cells, and
+    parallelism never changes the report sequence.
     """
+    cells = sweep_cells(check_id, per_order_cap=per_order_cap, **bounds)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cells = list(cells)
-    runner = functools.partial(_run_cell, per_order_cap=per_order_cap)
+    # built per call, so that each cell runs whatever verify.run_check is now
+    runner = functools.partial(run_check, check_id, per_order_cap=per_order_cap)
     workers = min(jobs, os.cpu_count() or 1, len(cells))
     if workers <= 1:
         batches = map(runner, cells)

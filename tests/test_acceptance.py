@@ -42,7 +42,6 @@ from congruence_lab.verify import (
     PASS,
     run_check,
     run_sweep,
-    sweep_cells,
 )
 
 from conftest import is_perfect_square, lift, make_matrix
@@ -73,7 +72,7 @@ def exact(rows):
 
 def test_criterion_01_full_grid_determinant_vanishes():
     t0 = time.perf_counter()
-    reports = run_sweep(sweep_cells("eq15", pmin=5, pmax=97))
+    reports = run_sweep("eq15", pmin=5, pmax=97)
     elapsed = time.perf_counter() - t0
     bad = [r for r in reports if r.verdict != PASS]
     ok = len(reports) == 1103 and not bad and elapsed < 60.0
@@ -84,7 +83,7 @@ def test_criterion_01_full_grid_determinant_vanishes():
 
 def test_criterion_02_order_three_closed_form():
     t0 = time.perf_counter()
-    reports = run_sweep(sweep_cells("p3"))
+    reports = run_sweep("p3")
     elapsed = time.perf_counter() - t0
     bad = [r for r in reports if r.verdict != PASS]
     ok = len(reports) == 121 and not bad and elapsed < 1.0
@@ -95,7 +94,7 @@ def test_criterion_02_order_three_closed_form():
 
 def test_criterion_03_vanishing_determinant_families():
     t0 = time.perf_counter()
-    reports = run_sweep(sweep_cells("dp-theorem", pmax=199))
+    reports = run_sweep("dp-theorem", pmax=199)
     elapsed = time.perf_counter() - t0
     mismatches = []
     for r in reports:
@@ -117,7 +116,7 @@ def test_criterion_03_vanishing_determinant_families():
 
 def test_criterion_04_reflection_identity():
     t0 = time.perf_counter()
-    reports = run_sweep(sweep_cells("reflection", pmax=97))
+    reports = run_sweep("reflection", pmax=97)
     elapsed = time.perf_counter() - t0
     bad = [r for r in reports if r.verdict != PASS]
     ok = len(reports) == 24 * 49 and not bad and elapsed < 60.0  # odd primes 3..97
@@ -128,7 +127,7 @@ def test_criterion_04_reflection_identity():
 
 def test_criterion_05_column_relation():
     t0 = time.perf_counter()
-    reports = run_sweep(sweep_cells("column-relation", pmax=97))
+    reports = run_sweep("column-relation", pmax=97)
     elapsed = time.perf_counter() - t0
     mismatches = []
     for r in reports:
@@ -146,7 +145,7 @@ def test_criterion_05_column_relation():
 
 def test_criterion_06_inverse_form_determinants():
     t0 = time.perf_counter()
-    reports = run_sweep(sweep_cells("background", pmax=199))
+    reports = run_sweep("background", pmax=199)
     elapsed = time.perf_counter() - t0
     mismatches = []
     for r in reports:
@@ -316,21 +315,21 @@ def test_criterion_11_conjecture_confirmations():
             elif r.verdict != want:
                 mismatches.append(r)
 
-    expect(run_sweep(sweep_cells("conj1", nmin=5, nmax=45)),
+    expect(run_sweep("conj1", nmin=5, nmax=45),
            lambda r: PASS if jacobi(r.params["d"], r.params["n"]) == -1 else NOT_APPLICABLE)
     for check_id, rule in CONJ2_TO_4_RULES.items():
-        expect(run_sweep(sweep_cells(check_id, pmax=499)), rule)
-    expect(run_sweep(sweep_cells("conj5", pmin=5, pmax=13)), lambda r: PASS)
-    expect(run_sweep(sweep_cells("conj6", pmin=5, pmax=13)), lambda r: PASS)
-    expect(run_sweep(sweep_cells("conj7", pmin=5, pmax=17)),
+        expect(run_sweep(check_id, pmax=499), rule)
+    expect(run_sweep("conj5", pmin=5, pmax=13), lambda r: PASS)
+    expect(run_sweep("conj6", pmin=5, pmax=13), lambda r: PASS)
+    expect(run_sweep("conj7", pmin=5, pmax=17),
            lambda r: PASS if r.params["part"] == "full" or r.params["p"] % 4 == 3
            else NOT_APPLICABLE)
     for p in (19, 23):  # full part outgrows the permanent gate; half part must pass
         expect(run_check("conj7", {"p": p}),
                lambda r: (PASS, INCONCLUSIVE) if r.params["part"] == "full" else PASS)
-    expect(run_sweep(sweep_cells("conj8", pmin=3, pmax=13)), lambda r: PASS)
-    expect(run_sweep(sweep_cells("conj9", pmin=5, pmax=13)), lambda r: PASS)
-    expect(run_sweep(sweep_cells("conj10", pmax=199)),
+    expect(run_sweep("conj8", pmin=3, pmax=13), lambda r: PASS)
+    expect(run_sweep("conj9", pmin=5, pmax=13), lambda r: PASS)
+    expect(run_sweep("conj10", pmax=199),
            lambda r: PASS if r.params["p"] % 4 == 3 and r.params["p"] > 3
            else NOT_APPLICABLE)
 
@@ -345,7 +344,7 @@ def test_conj2_to_4_hold_to_max_order():
     # the units-grid det builds no matrix, so conj2-4 reach the largest order a sweep allows
     mismatches = [(check_id, r.params, r.verdict)
                   for check_id, rule in CONJ2_TO_4_RULES.items()
-                  for r in run_sweep(sweep_cells(check_id, pmax=MAX_ORDER))
+                  for r in run_sweep(check_id, pmax=MAX_ORDER)
                   if r.verdict != rule(r)]
     assert mismatches == []
 

@@ -710,11 +710,31 @@ def test_sweep_jobs_do_not_change_reports(capsys):
             del r["elapsed_ms"]
         return records
 
-    _, serial, _ = run(capsys, "sweep", "dp-theorem", "--pmax", "23",
-                       "--format", "jsonl")
-    _, parallel, _ = run(capsys, "sweep", "dp-theorem", "--pmax", "23",
-                         "--jobs", "2", "--format", "jsonl")
-    assert strip(serial) == strip(parallel)
+    for sweep in ("dp-theorem --pmax 23", "conj --id 7 --pmax 23 --per-order-cap 12"):
+        _, serial, _ = run(capsys, "sweep", *sweep.split(), "--format", "jsonl")
+        _, parallel, _ = run(capsys, "sweep", *sweep.split(), "--jobs", "2", "--format", "jsonl")
+        assert strip(serial) == strip(parallel)
+    # the conj7 sweep's cap of 12 reached every cell, in the workers too
+    verdicts = [r["verdict"] for r in strip(parallel)]
+    assert (len(verdicts), verdicts.count("inconclusive")) == (16, 3)
+
+
+def test_sweeps_look_run_check_up_when_they_run(monkeypatch, capsys):
+    # perfbench's tracer counts cells by replacing verify.run_check; sweeps must call it
+    calls = []
+
+    def recorder(check_id, params, per_order_cap=None):
+        calls.append((check_id, params["p"]))
+        return []
+
+    monkeypatch.setattr(verify, "run_check", recorder)
+    cells = [("conj10", p) for p in (3, 5, 7, 11)]
+    assert verify.run_sweep("conj10", pmax=11) == []
+    assert calls == cells
+    calls.clear()
+    argv = ["sweep", "conj", "--id", "10", "--pmax", "11", "--format", "jsonl"]
+    assert run(capsys, *argv) == (0, "", "")
+    assert calls == cells
 
 
 def test_sweep_rejects_nonpositive_jobs(capsys):

@@ -216,9 +216,11 @@ def test_units_grid_det_refuses_a_non_prime_p_and_a_large_order():
     with pytest.raises(ValueError, match="odd prime"):
         units_grid_det(9, 1, 1)
     # at 1000033 = 1 (mod 8), conj3's f = 1 + 2t - t^2 splits and (-1/p) = 1: only the kernel has it
-    with pytest.raises(ValueError, match=f"p up to {MAX_UNITS_P}, got 1000033$"):
+    with pytest.raises(ValueError, match=f"^units_grid_coefficients takes p up to {MAX_UNITS_P}, "
+                                         "got 1000033$"):
         units_grid_det(1000033, 2, -1)
-    with pytest.raises(ValueError, match=f"p up to {MAX_CLOSED_P}, got {MAX_CLOSED_P + 1}$"):
+    with pytest.raises(ValueError, match=f"^units_grid_det takes p up to {MAX_CLOSED_P}, "
+                                         f"got {MAX_CLOSED_P + 1}$"):
         units_grid_det(MAX_CLOSED_P + 1, 1, -1)
 
 
@@ -337,8 +339,8 @@ def test_background_half_range_cell_matches_elimination():
 
 def test_background_half_range_cell_matches_the_closed_form():
     # b_l = (-1)^(l+1)*n, so det = n^(2n) * (-1)^(n(n+1)/2) (mod p): a test oracle only
-    cells = sweep_cells("background", pmax=20011, which="half_range_sq")
-    reports = [r for r in run_sweep(cells) if r.params["p"] % 4 == 3]
+    reports = [r for r in run_sweep("background", pmax=20011, which="half_range_sq")
+               if r.params["p"] % 4 == 3]
     mismatches = []
     for r in reports:
         p = r.params["p"]
@@ -361,7 +363,8 @@ def test_units_grid_checks_build_no_matrix(monkeypatch):
              ("column-relation", {"p": 47, "c": 2, "d": 3})]
 
     def records():
-        return [{**r.as_record(), "elapsed_ms": None} for r in run_sweep(cells)]
+        return [{**r.as_record(), "elapsed_ms": None}
+                for check_id, params in cells for r in run_check(check_id, params)]
 
     with monkeypatch.context() as m:
         m.setattr(verify, "units_grid_det", units_grid_det_by_elimination)
@@ -633,45 +636,45 @@ def test_sweep_cells_full_grid_caps_small_primes():
     cells = sweep_cells("eq15", pmax=7)
     # p=3 allows c,d in 0..2; p=5 in 0..4; p=7 in 0..6
     assert len(cells) == 9 + 25 + 49
-    assert cells[0] == ("eq15", {"p": 3, "c": 0, "d": 0})
-    assert cells[-1] == ("eq15", {"p": 7, "c": 6, "d": 6})
+    assert cells[0] == {"p": 3, "c": 0, "d": 0}
+    assert cells[-1] == {"p": 7, "c": 6, "d": 6}
 
 
 def test_sweep_cells_p3_grid():
     cells = sweep_cells("p3", cmax=2, dmax=1)
     assert len(cells) == 5 * 3
-    assert cells[0] == ("p3", {"c": -2, "d": -1})
+    assert cells[0] == {"c": -2, "d": -1}
 
 
 def test_sweep_cells_vanishing_variant_filter():
     cells = sweep_cells("dp-theorem", pmax=7, variant="two_two")
     assert cells == [
-        ("dp-theorem", {"p": 3, "variant": "two_two"}),
-        ("dp-theorem", {"p": 5, "variant": "two_two"}),
-        ("dp-theorem", {"p": 7, "variant": "two_two"}),
+        {"p": 3, "variant": "two_two"},
+        {"p": 5, "variant": "two_two"},
+        {"p": 7, "variant": "two_two"},
     ]
     # cmax is taken without a variant and with c_minus1; only the c_minus1 cells read it
     assert sweep_cells("dp-theorem", pmax=5, variant="c_minus1", cmax=1) == [
-        ("dp-theorem", {"p": p, "variant": "c_minus1", "c": c}) for p in (3, 5) for c in (0, 1)]
+        {"p": p, "variant": "c_minus1", "c": c} for p in (3, 5) for c in (0, 1)]
     cells = sweep_cells("dp-theorem", pmax=13, cmax=3)
     assert len(cells) == 5 * (4 + 2)
-    assert {p["c"] for _, p in cells if "c" in p} == {0, 1, 2, 3}
+    assert {p["c"] for p in cells if "c" in p} == {0, 1, 2, 3}
 
 
 def test_sweep_cells_background_which_filter():
     cells = sweep_cells("background", pmin=5, pmax=7, which="half_range_sq")
     assert cells == [
-        ("background", {"p": 5, "which": "half_range_sq"}),
-        ("background", {"p": 7, "which": "half_range_sq"}),
+        {"p": 5, "which": "half_range_sq"},
+        {"p": 7, "which": "half_range_sq"},
     ]
 
 
 def test_sweep_cells_conj1_odd_orders_only():
     cells = sweep_cells("conj1", nmin=5, nmax=9, cmax=0, dmax=1)
-    orders = sorted({params["n"] for _, params in cells})
+    orders = sorted({params["n"] for params in cells})
     assert orders == [5, 7, 9]
     cells = sweep_cells("conj1", nmin=6, nmax=9, cmax=0, dmax=1)
-    assert sorted({params["n"] for _, params in cells}) == [7, 9]
+    assert sorted({params["n"] for params in cells}) == [7, 9]
 
 
 def test_sweep_cells_required_bounds():
@@ -760,9 +763,8 @@ def test_sweep_cells_refuses_bounds_that_cannot_hold_a_cell(check_id, bounds, me
 
 def test_sweep_cells_ignores_none_bounds():
     assert sweep_cells("p3", pmin=None, pmax=None, nmax=None, cmax=0, dmax=0) == [
-        ("p3", {"c": 0, "d": 0})]
-    assert sweep_cells("conj2", pmin=None, pmax=5, cmax=None) == [
-        ("conj2", {"p": 3}), ("conj2", {"p": 5})]
+        {"c": 0, "d": 0}]
+    assert sweep_cells("conj2", pmin=None, pmax=5, cmax=None) == [{"p": 3}, {"p": 5}]
 
 
 def test_each_id_states_its_limit_and_its_permanent_cap():
@@ -796,14 +798,13 @@ def test_per_order_cap_belongs_to_ids_with_a_permanent_part():
             with pytest.raises(ValueError, match=f"^{check_id} takes no --per-order-cap$"):
                 run_check(check_id, {}, per_order_cap=3)
     with pytest.raises(ValueError, match="^conj10 takes no --per-order-cap$"):
-        run_sweep(sweep_cells("conj10", pmax=11), per_order_cap=17)
+        run_sweep("conj10", pmax=11, per_order_cap=17)
 
 
 def test_sweep_cells_accepts_equal_and_zero_bounds():
-    assert sweep_cells("conj2", pmin=5, pmax=5) == [("conj2", {"p": 5})]
-    assert sweep_cells("conj1", nmin=1, nmax=1, cmax=0, dmax=0) == [
-        ("conj1", {"n": 1, "c": 0, "d": 0})]
-    assert sweep_cells("p3", cmax=0, dmax=0) == [("p3", {"c": 0, "d": 0})]
+    assert sweep_cells("conj2", pmin=5, pmax=5) == [{"p": 5}]
+    assert sweep_cells("conj1", nmin=1, nmax=1, cmax=0, dmax=0) == [{"n": 1, "c": 0, "d": 0}]
+    assert sweep_cells("p3", cmax=0, dmax=0) == [{"c": 0, "d": 0}]
 
 
 def test_sweep_cells_empty_prime_range():
@@ -811,9 +812,8 @@ def test_sweep_cells_empty_prime_range():
 
 
 def test_run_sweep_parallel_matches_serial():
-    cells = sweep_cells("dp-theorem", pmax=23)
-    serial = run_sweep(cells, jobs=1)
-    parallel = run_sweep(cells, jobs=2)
+    serial = run_sweep("dp-theorem", pmax=23, jobs=1)
+    parallel = run_sweep("dp-theorem", pmax=23, jobs=2)
     strip = lambda rs: [(r.check_id, r.params, r.computed, r.expected, r.verdict)
                         for r in rs]
     assert strip(serial) == strip(parallel)
@@ -834,33 +834,32 @@ def test_run_sweep_clamps_workers(monkeypatch):
             pass
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingExecutor)
-    cells = sweep_cells("conj10", pmax=11)
-    assert len(cells) == 4
+    assert len(sweep_cells("conj10", pmax=11)) == 4
     strip = lambda rs: [(r.check_id, r.params, r.computed, r.verdict) for r in rs]
-    serial = strip(run_sweep(cells))
+    serial = strip(run_sweep("conj10", pmax=11))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert strip(run_sweep(cells, jobs=8)) == serial
-    run_sweep(cells[:2], jobs=8)
+    assert strip(run_sweep("conj10", pmax=11, jobs=8)) == serial
+    run_sweep("conj10", pmax=5, jobs=8)  # the first two cells
     assert started == [3, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
-    run_sweep(cells, jobs=2)
+    run_sweep("conj10", pmax=11, jobs=2)
     assert started == [3, 2, 2]
     # one CPU (or an unknown count) or one cell runs in-process
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_sweep(cells, jobs=8)
+    run_sweep("conj10", pmax=11, jobs=8)
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
-    run_sweep(cells[:1], jobs=8)
+    run_sweep("conj10", pmax=3, jobs=8)  # the first cell
     assert started == [3, 2, 2]
 
 
 def test_run_sweep_rejects_nonpositive_jobs():
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            run_sweep([("conj10", {"p": 7})], jobs=jobs)
+            run_sweep("conj10", pmin=7, pmax=7, jobs=jobs)
 
 
 def test_run_sweep_cap_threads_through():
-    reports = run_sweep([("conj5", {"p": 5})], per_order_cap=3)
+    reports = run_sweep("conj5", pmin=5, pmax=5, per_order_cap=3)
     parts = by_part(reports)
     assert parts["per"].verdict == INCONCLUSIVE
     assert parts["det"].verdict == PASS
